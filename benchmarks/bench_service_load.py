@@ -12,13 +12,14 @@ chain-sampled fixes, and reports
   starvation probe: offloaded steps should leave the loop responsive),
 * the shared verdict-cache hit rate.
 
-A second test sweeps the sharded backend (``--shards {0,2,4,8}``) at
-the 1000-session point with micro-batching on, recording how served
-throughput scales with shard processes over the single-process batched
-path.
+A second test sweeps the serving topology at the 1000-session point
+with micro-batching on: in-process batched against ``--shards N`` (N
+local ``repro worker`` processes under the cluster supervisor),
+recording how served throughput scales with worker processes over the
+single-process path.
 
-Results go to ``results/bench_service_load{,_sharded}.txt`` (human
-tables) and ``results/bench_service_load{,_sharded}.json`` (the shared
+Results go to ``results/bench_service_load{,_topology}.txt`` (human
+tables) and ``results/bench_service_load{,_topology}.json`` (the shared
 machine-readable schema, uploaded as CI artifacts).
 """
 
@@ -31,7 +32,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.engine import SessionBuilder, SessionManager, ShardPool
+from repro.cluster import ClusterBackend, ClusterSupervisor
+from repro.engine import SessionBuilder, SessionManager
 from repro.errors import OverloadedError
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import synthetic_scenario
@@ -44,7 +46,12 @@ from repro.scenario import (
     MechanismSpec,
     ScenarioSpec,
 )
-from repro.service import AsyncServiceClient, ReleaseServer, ServerConfig
+from repro.service import (
+    AsyncServiceClient,
+    MemorySessionStore,
+    ReleaseServer,
+    ServerConfig,
+)
 
 HORIZON = 12
 #: (concurrent sessions, steps per session) -- quick mode
@@ -55,19 +62,15 @@ LOADS_PAPER = ((10, 12), (100, 12), (1000, 12), (5000, 6))
 BATCHED_LOADS = ((100, 12), (1000, 4))
 BATCH_WINDOW_MS = 2.0
 MAX_CONNECTIONS = 32
-#: the shard sweep: 1000 concurrent sessions served by 0/2/4/8 shard
-#: processes (0 = the PR 3 in-process batched path, the baseline).
-#: Shard counts beyond the machine's cores are skipped -- they can only
-#: measure oversubscription.
-SHARD_SWEEP = (0, 2, 4, 8)
-SHARDED_SESSIONS, SHARDED_STEPS = 1000, 4
+#: the topology sweep: 1000 concurrent sessions served in-process
+#: (0 = the batched single-process path, the baseline) and by 2/4/8
+#: local workers (`repro serve --shards N`).  Worker counts beyond the
+#: machine's cores are skipped -- they can only measure oversubscription.
+TOPOLOGY_SWEEP = (0, 2, 4, 8)
+TOPOLOGY_SESSIONS, TOPOLOGY_STEPS = 1000, 4
 #: the mixed-tenant point: 1000 sessions spread over K distinct specs
 #: (--mixed-scenarios K) vs the same fleet on one spec.
 MIXED_SESSIONS, MIXED_STEPS = 1000, 4
-#: the cluster sweep: 1000 sessions over 1 / 2 localhost `repro worker`
-#: TCP processes, against the 2-shard pipe-RPC pool as the baseline.
-CLUSTER_SESSIONS, CLUSTER_STEPS = 1000, 4
-CLUSTER_SWEEP = (1, 2)
 #: the tracing A/B point: the 100-session load served with tracing +
 #: /metrics exposition on (scraped mid-run) vs tracing compiled out.
 TRACED_SESSIONS, TRACED_STEPS = 100, 12
@@ -168,7 +171,6 @@ async def _drive_load(
     seed: int,
     batch_window_ms: float = 0.0,
     shards: int = 0,
-    cluster_workers: int = 0,
     trace: bool = True,
     scrape: bool = False,
 ):
@@ -187,24 +189,19 @@ async def _drive_load(
         )
         for _ in range(n_sessions)
     ]
-    worker_procs = []
-    if cluster_workers > 0:
-        from repro.cluster import ClusterBackend, spawn_local_worker
-
-        addresses = []
-        for _ in range(cluster_workers):
-            process, address = spawn_local_worker(
-                functools.partial(SessionManager, builder)
-            )
-            worker_procs.append(process)
-            addresses.append(address)
-        engine = ClusterBackend(addresses)
-    elif shards > 0:
-        engine = ShardPool(lambda: SessionManager(builder), shards)
+    store = MemorySessionStore()
+    if shards > 0:
+        # What `repro serve --shards N` builds: N local workers under
+        # the recovery supervisor.
+        backend = ClusterBackend.spawn_local(
+            functools.partial(SessionManager, builder), shards
+        )
+        engine = ClusterSupervisor(backend, store)
     else:
         engine = SessionManager(builder)
     server = ReleaseServer(
         engine,
+        store=store,
         config=ServerConfig(
             max_sessions=n_sessions + 8,
             max_resident=n_sessions + 8,
@@ -251,10 +248,6 @@ async def _drive_load(
     for client in clients:
         await client.close()
     await server.drain()
-    for process in worker_procs:
-        process.terminate()
-    for process in worker_procs:
-        process.join(10)
 
     assert stats["sessions"]["open"] == n_sessions
     assert len(latencies) == n_sessions * n_steps
@@ -263,9 +256,7 @@ async def _drive_load(
     batching = stats.get("batching")
     mode = "batched" if batch_window_ms > 0 else "direct"
     if shards > 0:
-        mode = f"sharded-{shards}"
-    if cluster_workers > 0:
-        mode = f"cluster-{cluster_workers}"
+        mode = f"local-{shards}"
     extra = {}
     if scrape:
         for family in SCRAPE_FAMILIES:
@@ -278,7 +269,7 @@ async def _drive_load(
     return {
         **extra,
         "mode": mode,
-        "shards": shards if cluster_workers == 0 else cluster_workers,
+        "shards": shards,
         "sessions": n_sessions,
         "steps": int(samples.size),
         "wall_s": round(wall, 4),
@@ -597,152 +588,57 @@ def test_bench_service_load_mixed(save_result, save_json, request):
     )
 
 
-def test_bench_service_load_sharded(service_setting, save_result, save_json, request):
-    """The shard sweep: 1000 sessions at 0 / 2 / 4 / 8 shard processes.
+def test_bench_service_load_topology(service_setting, save_result, save_json, request):
+    """The topology sweep: 1000 sessions in-process vs N local workers.
 
-    Every sharded point keeps the PR 3 micro-batching window on (that is
-    the production configuration: one collection window's steps fan out
-    as one RPC per shard and run on every shard in parallel), so the
-    sweep isolates exactly what sharding adds over the single-process
-    batched path.  On a >= 4-core runner the 4-shard point must sustain
-    >= 2x the unsharded batched throughput; shard counts beyond the core
+    Every point keeps the micro-batching window on (the production
+    configuration: one collection window's steps fan out as one RPC per
+    worker and run on every worker in parallel), so the sweep isolates
+    exactly what worker processes add over the single-process batched
+    path.  On a >= 4-core runner the 4-worker point must sustain >= 2x
+    the in-process batched throughput; worker counts beyond the core
     count are skipped, not asserted.
     """
     _skip_unless_closed_loop(request)
     scenario, builder = service_setting
     cores = os.cpu_count() or 1
-    # Always run the 2-shard point (it exercises the RPC path even on a
+    # Always run the 2-worker point (it exercises the RPC path even on a
     # small box); larger counts only where the cores exist to feed them.
-    sweep = [n for n in SHARD_SWEEP if n <= max(cores, 2)]
-    rows = []
-    for shards in sweep:
-        rows.append(
-            asyncio.run(
-                _drive_load(
-                    scenario,
-                    builder,
-                    SHARDED_SESSIONS,
-                    SHARDED_STEPS,
-                    seed=0,
-                    batch_window_ms=BATCH_WINDOW_MS,
-                    shards=shards,
-                )
-            )
-        )
-    skipped = [n for n in SHARD_SWEEP if n not in sweep]
-    if skipped:
-        print(f"[skipped shard counts {skipped}: only {cores} cores]")
-
-    by_shards = {row["shards"]: row["steps_per_s"] for row in rows}
-    baseline = by_shards[0]
-    # Cross-run comparison: the per-PR throughput trajectory at the
-    # 1000-session point (seed's loop -> PR 3 batched -> sharded).
-    sharded_points = {n: v for n, v in by_shards.items() if n > 0}
-    best_shards = max(sharded_points, key=sharded_points.get)
-    comparison = (
-        f"1000-session throughput trajectory: PR 3 batched {baseline} steps/s"
-        f" -> sharded (N={best_shards}) {by_shards[best_shards]} steps/s"
-        f" ({by_shards[best_shards] / baseline:.2f}x) on {cores} cores"
-        " [seed had no serving layer; its single-stream engine loop is"
-        " benched in bench_engine_sessions.json]"
-    )
-    if cores >= 4 and 4 in by_shards:
-        assert by_shards[4] >= 2.0 * baseline, (
-            f"4 shards must sustain >= 2x the in-process batched path on a "
-            f">= 4-core machine: {by_shards[4]} vs {baseline} steps/s"
-        )
-
-    columns = [
-        "mode", "shards", "sessions", "steps", "wall_s", "steps_per_s",
-        "p50_ms", "p99_ms", "max_loop_lag_ms", "cache_hit_rate", "mean_batch",
-    ]
-    table = format_table(
-        columns,
-        [[row[c] for c in columns] for row in rows],
-        title=(
-            f"repro serve shard sweep ({SHARDED_SESSIONS} sessions, "
-            f"--batch-window-ms {BATCH_WINDOW_MS}, {cores} cores; "
-            "shards=0 is the PR 3 single-process batched path)"
-        ),
-    )
-    save_result("bench_service_load_sharded", table + "\n\n" + comparison)
-    save_json(
-        "bench_service_load_sharded",
-        params={
-            "rows_cols": [6, 6],
-            "horizon": HORIZON,
-            "epsilon": 0.4,
-            "alpha": 0.5,
-            "prior_mode": "fixed",
-            "connections_max": MAX_CONNECTIONS,
-            "sessions": SHARDED_SESSIONS,
-            "steps_per_session": SHARDED_STEPS,
-            "batch_window_ms": BATCH_WINDOW_MS,
-            "shard_sweep": list(sweep),
-            "cpu_count": cores,
-            "comparison": comparison,
-        },
-        rows=rows,
-    )
-
-
-def test_bench_service_load_cluster(service_setting, save_result, save_json, request):
-    """The cluster sweep: 1000 sessions over localhost TCP workers.
-
-    The baseline is the 2-shard :class:`ShardPool` at the same load
-    (pipe RPC, same typed codec), so the sweep isolates exactly what the
-    TCP hop and the router's assignment map add over in-box sharding.
-    On localhost the 2-worker cluster should hold >= 0.8x the 2-shard
-    pool's throughput -- the wire format is identical and TCP loopback
-    is cheap; the committed JSON records the real ratio while the
-    assertion bound stays looser for noisy CI runners.
-    """
-    _skip_unless_closed_loop(request)
-    scenario, builder = service_setting
-    cores = os.cpu_count() or 1
+    sweep = [n for n in TOPOLOGY_SWEEP if n <= max(cores, 2)]
     rows = [
         asyncio.run(
             _drive_load(
                 scenario,
                 builder,
-                CLUSTER_SESSIONS,
-                CLUSTER_STEPS,
+                TOPOLOGY_SESSIONS,
+                TOPOLOGY_STEPS,
                 seed=0,
                 batch_window_ms=BATCH_WINDOW_MS,
-                shards=2,
+                shards=shards,
             )
         )
+        for shards in sweep
     ]
-    for workers in CLUSTER_SWEEP:
-        rows.append(
-            asyncio.run(
-                _drive_load(
-                    scenario,
-                    builder,
-                    CLUSTER_SESSIONS,
-                    CLUSTER_STEPS,
-                    seed=0,
-                    batch_window_ms=BATCH_WINDOW_MS,
-                    cluster_workers=workers,
-                )
-            )
-        )
+    skipped = [n for n in TOPOLOGY_SWEEP if n not in sweep]
+    if skipped:
+        print(f"[skipped worker counts {skipped}: only {cores} cores]")
 
-    by_mode = {row["mode"]: row["steps_per_s"] for row in rows}
-    baseline = by_mode["sharded-2"]
-    ratio = round(by_mode["cluster-2"] / baseline, 3)
+    by_workers = {row["shards"]: row["steps_per_s"] for row in rows}
+    baseline = by_workers[0]
+    local_points = {n: v for n, v in by_workers.items() if n > 0}
+    best = max(local_points, key=local_points.get)
     comparison = (
-        f"1000-session throughput: 2-shard pool {baseline} steps/s -> "
-        f"2-worker TCP cluster {by_mode['cluster-2']} steps/s ({ratio}x), "
-        f"1-worker cluster {by_mode['cluster-1']} steps/s, on {cores} cores "
-        "(same typed codec on both; the delta is the TCP hop + router map; "
-        "target >= 0.8x on a quiet machine)"
+        f"1000-session throughput: in-process batched {baseline} steps/s"
+        f" -> local-{best} {by_workers[best]} steps/s"
+        f" ({by_workers[best] / baseline:.2f}x) on {cores} cores"
     )
-    assert by_mode["cluster-1"] > 0 and by_mode["cluster-2"] > 0
-    assert ratio >= 0.5, (
-        f"TCP cluster throughput collapsed to {ratio}x of the 2-shard pool "
-        f"({by_mode['cluster-2']} vs {baseline} steps/s)"
-    )
+    assert all(v > 0 for v in by_workers.values())
+    if cores >= 4 and 4 in by_workers:
+        assert by_workers[4] >= 2.0 * baseline, (
+            f"4 local workers must sustain >= 2x the in-process batched "
+            f"path on a >= 4-core machine: {by_workers[4]} vs {baseline} "
+            "steps/s"
+        )
 
     columns = [
         "mode", "shards", "sessions", "steps", "wall_s", "steps_per_s",
@@ -752,14 +648,14 @@ def test_bench_service_load_cluster(service_setting, save_result, save_json, req
         columns,
         [[row[c] for c in columns] for row in rows],
         title=(
-            f"repro serve cluster sweep ({CLUSTER_SESSIONS} sessions, "
-            f"--batch-window-ms {BATCH_WINDOW_MS}, {cores} cores; baseline "
-            "= 2-shard pool, cluster-N = N localhost `repro worker` over TCP)"
+            f"repro serve topology sweep ({TOPOLOGY_SESSIONS} sessions, "
+            f"--batch-window-ms {BATCH_WINDOW_MS}, {cores} cores; "
+            "local-N = --shards N local workers under the supervisor)"
         ),
     )
-    save_result("bench_service_load_cluster", table + "\n\n" + comparison)
+    save_result("bench_service_load_topology", table + "\n\n" + comparison)
     save_json(
-        "bench_service_load_cluster",
+        "bench_service_load_topology",
         params={
             "rows_cols": [6, 6],
             "horizon": HORIZON,
@@ -767,11 +663,10 @@ def test_bench_service_load_cluster(service_setting, save_result, save_json, req
             "alpha": 0.5,
             "prior_mode": "fixed",
             "connections_max": MAX_CONNECTIONS,
-            "sessions": CLUSTER_SESSIONS,
-            "steps_per_session": CLUSTER_STEPS,
+            "sessions": TOPOLOGY_SESSIONS,
+            "steps_per_session": TOPOLOGY_STEPS,
             "batch_window_ms": BATCH_WINDOW_MS,
-            "cluster_sweep": list(CLUSTER_SWEEP),
-            "throughput_ratio_vs_2_shards": ratio,
+            "topology_sweep": list(sweep),
             "cpu_count": cores,
             "comparison": comparison,
         },

@@ -16,14 +16,15 @@ Six modes:
   server (:mod:`repro.service`) multiplexing many client connections
   onto one shared execution backend, with admission control, a worker
   pool and idle-session eviction to a pluggable store.  ``--shards N``
-  swaps the in-process backend for a pool of N worker processes (each
-  owning a full engine) for near-linear multi-core scaling, and
-  ``--backend tcp://w1:9001,tcp://w2:9002`` swaps it for a
-  :class:`~repro.cluster.ClusterBackend` routing sessions to ``repro
-  worker`` processes on any machines (consistent-hash placement, live
-  migration via the ``migrate`` op).
+  swaps the in-process backend for N local ``repro worker`` processes
+  (each owning a full engine) for near-linear multi-core scaling, and
+  ``--backend tcp://w1:9001,tcp://w2:9002`` for ``repro worker``
+  processes on any machines.  Both run under the same
+  :class:`~repro.cluster.ClusterSupervisor` over a
+  :class:`~repro.cluster.ClusterBackend` (consistent-hash placement,
+  checkpoint-replay recovery, live migration via the ``migrate`` op).
 * ``repro worker`` -- one cluster node: a full engine behind a TCP
-  port (``--listen HOST:PORT``), serving the shard op set over the
+  port (``--listen HOST:PORT``), serving the engine op set over the
   typed cluster codec for a ``repro serve --backend tcp://...`` router.
   Takes the same engine flags as ``serve`` -- start every worker of a
   cluster with identical flags (or the same ``--scenario`` file).
@@ -377,8 +378,8 @@ def _worker_main(argv: list[str]) -> int:
             fault_plan = FaultPlan.from_file(args.fault_plan)
         except ReproError as error:
             parser.error(str(error))
-    # functools.partial over module-level _stream_manager: the factory
-    # must survive the `spawn` start method (same pattern as --shards).
+    # functools.partial over module-level _stream_manager, as for
+    # --shards (whose factory must survive the `spawn` start method).
     factory = functools.partial(_stream_manager, args)
     try:
         return run_worker(
@@ -428,10 +429,10 @@ def _serve_main(argv: list[str]) -> int:
                         "capped, divided by --shards when sharded; 0 runs "
                         "steps inline on the event loop)")
     parser.add_argument("--shards", type=int, default=0,
-                        help="shard worker processes, each owning a full "
-                        "engine; sessions route to shards by a stable hash "
-                        "of their id, so served streams stay bit-identical "
-                        "at any shard count (0 = in-process threads only)")
+                        help="local `repro worker` processes, each owning a "
+                        "full engine, under the same supervisor as "
+                        "--backend; served streams stay bit-identical at "
+                        "any worker count (0 = in-process threads only)")
     parser.add_argument("--backend", default=None, metavar="ADDRS",
                         help="comma-separated `repro worker` addresses "
                         "(tcp://host:port,...): swap the local engine for a "
@@ -459,11 +460,11 @@ def _serve_main(argv: list[str]) -> int:
                         "--shed-target-ms before shedding starts")
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         metavar="N",
-                        help="with --backend: auto-checkpoint every cluster "
-                        "session to the store every N acknowledged steps, "
-                        "bounding replay after a worker dies (0 disables "
-                        "auto-checkpoints; recovery then falls back to "
-                        "explicit 'checkpoint' snapshots)")
+                        help="with --shards or --backend: auto-checkpoint "
+                        "every session to the store every N acknowledged "
+                        "steps, bounding replay after a worker dies (0 "
+                        "disables auto-checkpoints; recovery then falls "
+                        "back to explicit 'checkpoint' snapshots)")
     parser.add_argument("--store", choices=["memory", "dir", "sqlite"],
                         default="memory",
                         help="suspended-session store backend")
@@ -497,9 +498,6 @@ def _serve_main(argv: list[str]) -> int:
         parser.error("--metrics-port must be in [0, 65535]")
     if args.shards < 0:
         parser.error("--shards must be >= 0")
-    if args.shards > 0 and args.workers == 0:
-        parser.error("--workers 0 (inline) is incompatible with --shards; "
-                     "shard RPCs must stay off the event loop")
     if args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
     if args.shed_target_ms < 0:
@@ -509,16 +507,16 @@ def _serve_main(argv: list[str]) -> int:
     if args.standby and not args.backend:
         parser.error("--standby requires --backend (standbys are cluster "
                      "workers held in reserve)")
-    if args.backend:
-        if args.shards > 0:
-            parser.error("--backend (remote workers) and --shards (local "
-                         "worker processes) are mutually exclusive")
-        if args.workers == 0:
-            parser.error("--workers 0 (inline) is incompatible with "
-                         "--backend; worker RPCs must stay off the event loop")
-    elif args.checkpoint_every > 0:
-        parser.error("--checkpoint-every requires --backend (the recovery "
-                     "supervisor only wraps a cluster backend)")
+    if args.backend and args.shards > 0:
+        parser.error("--backend (remote workers) and --shards (local "
+                     "worker processes) are mutually exclusive")
+    supervised = bool(args.backend) or args.shards > 0
+    if supervised and args.workers == 0:
+        parser.error("--workers 0 (inline) is incompatible with --shards and "
+                     "--backend; worker RPCs must stay off the event loop")
+    if args.checkpoint_every > 0 and not supervised:
+        parser.error("--checkpoint-every requires --shards or --backend "
+                     "(the recovery supervisor wraps worker processes)")
 
     standbys = [
         a for a in (s.strip() for s in (args.standby or "").split(",")) if a
@@ -526,28 +524,30 @@ def _serve_main(argv: list[str]) -> int:
     try:
         scenarios = [ScenarioSpec.from_file(path) for path in args.scenario_files]
         store = resolve_store(args.store, args.store_path)
-        if args.backend:
+        if supervised:
             from .cluster.backend import ClusterBackend
             from .cluster.control import ClusterSupervisor
 
-            addresses = [a for a in (s.strip() for s in args.backend.split(",")) if a]
-            # The supervisor wraps every cluster backend: it heals dead
+            if args.backend:
+                backend = ClusterBackend(
+                    [a for a in (s.strip() for s in args.backend.split(",")) if a]
+                )
+            else:
+                # Each local worker builds its own full engine from the
+                # parsed flags (functools.partial over a module-level
+                # function, so the factory survives `spawn` too).
+                backend = ClusterBackend.spawn_local(
+                    functools.partial(_stream_manager, args), args.shards
+                )
+            # The supervisor wraps every worker fleet: it heals dead
             # workers from store checkpoints + deterministic replay, and
             # is inert overhead while the fleet is healthy.
             engine = ClusterSupervisor(
-                ClusterBackend(addresses),
+                backend,
                 store,
                 checkpoint_every=args.checkpoint_every,
                 standbys=standbys,
             )
-        elif args.shards > 0:
-            # Each shard worker builds its own full engine from the
-            # parsed flags (functools.partial over a module-level
-            # function, so the factory survives the `spawn` start
-            # method too).
-            from .engine.shard import ShardPool
-
-            engine = ShardPool(functools.partial(_stream_manager, args), args.shards)
         else:
             engine = _stream_manager(args)
     except ReproError as error:
@@ -586,7 +586,7 @@ def _serve_main(argv: list[str]) -> int:
                     "max_sessions": config.max_sessions,
                     "max_resident": config.max_resident,
                     "shards": args.shards,
-                    "cluster_workers": getattr(engine, "n_shards", 0) if args.backend else 0,
+                    "cluster_workers": engine.n_shards if supervised else 0,
                     "standbys": len(standbys),
                     "store": args.store,
                     "scenarios": len(scenarios),
@@ -627,8 +627,9 @@ def _cluster_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro cluster",
         description="Cluster membership ops against a running "
-        "`repro serve --backend tcp://...`: admit or remove workers at "
-        "runtime, or show the membership/recovery snapshot",
+        "`repro serve --shards N` or `--backend tcp://...`: admit or "
+        "remove workers at runtime, or show the membership/recovery "
+        "snapshot",
     )
     parser.add_argument("address", metavar="ADDR",
                         help="the server's host:port (or tcp://host:port)")

@@ -1,12 +1,13 @@
-"""Multi-host cluster execution: from one box to a fleet.
+"""Worker-process execution: from one box to a fleet.
 
-This package is the third :class:`~repro.engine.backend.ExecutionBackend`
--- the step past :class:`~repro.engine.shard.ShardPool`'s
-single-machine process fan-out.  The serving layer is unchanged: a
-:class:`~repro.service.server.ReleaseServer` drives a
-:class:`ClusterBackend` exactly as it drives a shard pool, but the
-"shards" are now ``repro worker`` processes on any machines, reached
-over TCP.
+This package is the multi-process
+:class:`~repro.engine.backend.ExecutionBackend`.  The serving layer
+drives a :class:`ClusterSupervisor` over a :class:`ClusterBackend`
+whose workers are ``repro worker`` processes reached over TCP -- N
+local ones spawned by ``repro serve --shards N``
+(:meth:`ClusterBackend.spawn_local`) or remote ones named by ``repro
+serve --backend tcp://...``.  Either way the placement, deadlines,
+recovery and migration below are the same code.
 
 Architecture -- three layers, bottom up
 ---------------------------------------
@@ -14,23 +15,20 @@ Architecture -- three layers, bottom up
     The wire.  Every RPC payload is a typed, versioned JSON message
     (``call``/``ok``/``err`` envelopes; engine types like
     :class:`~repro.engine.SessionState` travel via their exact
-    ``to_json`` forms) inside a bounded length-prefixed frame.  The
-    *same* codec runs over ``multiprocessing`` pipes
-    (:class:`~repro.cluster.transport.PipeChannel`, used by the local
-    shard pool) and TCP sockets
-    (:class:`~repro.cluster.transport.SocketChannel`), so there is no
-    pickle deserialization of received bytes on any RPC path -- a
-    remote worker can safely listen on a network port.
+    ``to_json`` forms) inside a bounded length-prefixed frame over a
+    TCP socket (:class:`~repro.cluster.transport.SocketChannel`), so
+    there is no pickle deserialization of received bytes on any RPC
+    path -- a remote worker can safely listen on a network port.
 
 :mod:`~repro.cluster.worker`
     The node.  ``repro worker --listen HOST:PORT`` owns one full
-    :class:`~repro.engine.SessionManager` and serves the shard op set
+    :class:`~repro.engine.SessionManager` and serves the engine op set
     (open/step/step_batch/peek_budget/finish/checkpoint/suspend/resume/
     suspend_all/stats) plus ``hello`` and ``ping``.  Engine ops run
-    serially on one thread (per-worker ordering, like a shard);
-    heartbeats answer from the event loop, so busy != hung.
+    serially on one thread (per-worker ordering); heartbeats answer
+    from the event loop, so busy != hung.
 
-:mod:`~repro.cluster.backend` + :mod:`~repro.cluster.ring`
+:mod:`~repro.cluster.backend` + :mod:`~repro.cluster.ring` + :mod:`~repro.cluster.control`
     The router.  :class:`ClusterBackend` places new sessions with a
     consistent-hash ring (stable blake2b -- identical placement in
     every process; removing one of N workers moves ~1/N of the
@@ -43,16 +41,19 @@ Architecture -- three layers, bottom up
     ``suspend_all`` path and restores it onto the ring successors while
     racing requests retry onto each session's new home -- no served
     stream drops, and migrated streams stay bit-identical.
+    :class:`ClusterSupervisor` adds checkpoint-replay recovery of a
+    dead worker's sessions.
 
 Wired end to end::
+
+    repro serve --shards 2                # two local workers
 
     repro worker --listen 0.0.0.0:9001   # on host w1
     repro worker --listen 0.0.0.0:9002   # on host w2
     repro serve --backend tcp://w1:9001,tcp://w2:9002
 
-Exports resolve lazily (PEP 562): :mod:`repro.engine.shard` imports the
-transport/codec submodules, so eager re-exports here would create an
-import cycle with :mod:`repro.engine`.
+Exports resolve lazily (PEP 562), so importing one submodule (the
+codec, say) does not pull in the router or the worker's asyncio server.
 """
 
 from __future__ import annotations

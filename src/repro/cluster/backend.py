@@ -7,12 +7,11 @@ pipelined connection per worker).  Three responsibilities live here and
 only here -- workers are deliberately placement-ignorant:
 
 * **Placement** -- new sessions land on the live, non-draining worker
-  chosen by a consistent-hash ring (:mod:`repro.cluster.ring`).  Unlike
-  :func:`~repro.engine.shard.shard_for`'s modulo routing, the router
-  keeps an explicit session->worker assignment map, because a session's
-  home can legitimately *change* (migration); the ring only decides
-  initial placement and migration targets, so membership changes move
-  ~1/N of the keyspace instead of reshuffling everything.
+  chosen by a consistent-hash ring (:mod:`repro.cluster.ring`).  The
+  router keeps an explicit session->worker assignment map, because a
+  session's home can legitimately *change* (migration); the ring only
+  decides initial placement and migration targets, so membership
+  changes move ~1/N of the keyspace instead of reshuffling everything.
 * **Containment** -- each RPC carries a deadline and each worker a
   heartbeat, so a dead or hung worker turns into typed
   :class:`~repro.errors.WorkerDownError` for exactly its assigned
@@ -30,6 +29,11 @@ only here -- workers are deliberately placement-ignorant:
 Per-worker **in-flight windows** (a bounded semaphore per handle) keep
 one slow worker from absorbing every router thread: callers queue at
 the window instead of stacking RPCs onto a wedged socket.
+
+The fleet is either dialled (``ClusterBackend(addresses)``, workers
+started elsewhere) or spawned: :meth:`ClusterBackend.spawn_local` starts
+N local ``repro worker`` processes and owns them -- the ``repro serve
+--shards N`` topology.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .control import RetryPolicy
 from .frames import MAX_RPC_FRAME_BYTES
 from .ring import DEFAULT_REPLICAS, HashRing
 from .transport import SocketChannel
+from .worker import spawn_local_workers, stop_local_worker
 
 __all__ = ["ClusterBackend", "WorkerHandle", "parse_address"]
 
@@ -76,6 +81,9 @@ HEARTBEAT_INTERVAL_S = 5.0
 HEARTBEAT_TIMEOUT_S = 5.0
 #: Seconds a racing request waits for its session's migration to land.
 MIGRATION_WAIT_S = 60.0
+#: Seconds a spawned worker gets to exit after a shutdown RPC before
+#: it is terminated.
+SHUTDOWN_TIMEOUT_S = 10.0
 
 _UNSET = object()
 
@@ -381,6 +389,8 @@ class ClusterBackend(ExecutionBackend):
             deadline_s=MIGRATION_WAIT_S
         )
         self._handles: dict[str, WorkerHandle] = {}
+        #: Worker processes this backend spawned and must stop on close.
+        self._processes: dict = {}
         self._sessions: dict[str, str] = {}  # sid -> worker address
         self._draining: set[str] = set()
         self._migrating: dict[str, threading.Event] = {}
@@ -438,6 +448,31 @@ class ClusterBackend(ExecutionBackend):
                 daemon=True,
             )
             self._heartbeat_thread.start()
+
+    @classmethod
+    def spawn_local(cls, factory, n_workers: int, **options) -> "ClusterBackend":
+        """A router over ``n_workers`` freshly spawned local workers.
+
+        Each worker is a child process on a loopback port (see
+        :func:`~repro.cluster.worker.spawn_local_workers`) building its
+        own :class:`~repro.engine.SessionManager` from ``factory``; under
+        the ``spawn`` start method the factory must be picklable.
+        ``options`` are the constructor's keywords.  The backend owns
+        the processes: :meth:`close` stops them.  A factory that fails
+        in any worker stops the workers already started and raises
+        :class:`ServiceError` carrying the factory's message.
+        """
+        if n_workers < 1:
+            raise ServiceError(f"need at least one local worker, got {n_workers}")
+        spawned = spawn_local_workers(factory, n_workers)
+        try:
+            backend = cls([address for _, address in spawned], **options)
+        except BaseException:
+            for process, _ in spawned:
+                stop_local_worker(process)
+            raise
+        backend._processes = {address: process for process, address in spawned}
+        return backend
 
     # ------------------------------------------------------------------
     # membership / placement
@@ -1174,15 +1209,37 @@ class ClusterBackend(ExecutionBackend):
             ]
 
     def close(self) -> None:
-        """Disconnect from the fleet (workers keep running; idempotent)."""
+        """Disconnect from the fleet (idempotent).
+
+        Dialled workers keep running.  Spawned ones (:meth:`spawn_local`)
+        are stopped: a live worker gets a ``shutdown`` RPC and
+        :data:`SHUTDOWN_TIMEOUT_S` to exit, then is terminated; a dead or
+        departed one is terminated at once.
+        """
         if self._closed:
             return
         self._closed = True
         self._stop_heartbeat.set()
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(1.0)
+        asked = set()
+        for address in self._processes:
+            handle = self._handles.get(address)
+            if handle is None or not handle.alive:
+                continue
+            try:
+                handle.call(
+                    "shutdown", timeout_s=SHUTDOWN_TIMEOUT_S, windowed=False
+                )
+            except Exception:  # noqa: BLE001 - terminated below instead
+                continue
+            asked.add(address)
         for handle in self._handles.values():
             handle.close()
+        for address, process in self._processes.items():
+            stop_local_worker(
+                process, SHUTDOWN_TIMEOUT_S if address in asked else 0.0
+            )
         dispatch = getattr(self, "_dispatch", None)
         if dispatch is not None:
             dispatch.shutdown(wait=False)

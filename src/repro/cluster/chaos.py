@@ -220,10 +220,9 @@ class FaultInjector:
 class ChaosChannel:
     """Wrap a transport channel with seeded, deterministic send delays.
 
-    Implements the same surface as the wrapped channel
-    (:class:`~repro.cluster.transport.SocketChannel` or
-    :class:`~repro.cluster.transport.PipeChannel`) so it drops into any
-    code that talks frames.  Delays apply on :meth:`send` -- the caller
+    Implements the same surface as the wrapped
+    :class:`~repro.cluster.transport.SocketChannel`, so it drops into
+    any code that talks frames.  Delays apply on :meth:`send` -- the caller
     side of an RPC -- which is where wire jitter perturbs request
     interleaving without distorting receive deadlines.
     """

@@ -1,8 +1,9 @@
 """Bounded length-prefixed framing shared by every RPC transport.
 
-One tiny, dependency-free module defines the frame discipline for both
-RPC paths -- the local shard pipes of :mod:`repro.engine.shard` and the
-TCP sockets of :mod:`repro.cluster.transport`:
+One tiny, dependency-free module defines the frame discipline for
+both ends of the RPC path -- the router's
+:mod:`repro.cluster.transport` channel and the asyncio
+:mod:`repro.cluster.worker` server:
 
 * a frame is a 4-byte big-endian unsigned length followed by exactly
   that many payload bytes;
@@ -13,10 +14,6 @@ TCP sockets of :mod:`repro.cluster.transport`:
   header announcing an oversized frame raises the same typed error and
   the caller must close the channel, because the stream cannot be
   re-synchronized past the unread payload.
-
-Keeping this module free of engine imports lets
-:mod:`repro.engine.shard` use it without a circular dependency on the
-cluster package.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ earlier builds is the special case where every weight is equal, and any
 common scale factor cancels (weights 2/2/2 build the same ring as
 1/1/1 because virtual-point hashes depend only on the resulting count).
 
-Hashes are unkeyed blake2b, like :func:`~repro.engine.shard.shard_for`:
-identical in every process, run and machine (``PYTHONHASHSEED`` never
+Hashes are unkeyed blake2b: identical in every process, run and machine (``PYTHONHASHSEED`` never
 enters), so a router restart or a second router over the same fleet
 computes the same placement.  ``hash()`` would silently shuffle every
 session each run.

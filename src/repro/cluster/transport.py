@@ -1,21 +1,13 @@
-"""Channel abstraction: one RPC frame discipline, two transports.
+"""The router's RPC channel: bounded frames over a TCP socket.
 
 A *channel* moves opaque payload byte-strings with the bounded framing
-of :mod:`repro.cluster.frames`.  Two implementations share the
-interface:
+of :mod:`repro.cluster.frames`.  :class:`SocketChannel` wraps a blocking
+TCP socket to one ``repro worker`` with an explicit 4-byte big-endian
+length prefix (``TCP_NODELAY`` set: RPC frames are small and
+latency-bound).
 
-* :class:`PipeChannel` wraps a ``multiprocessing.Connection`` for the
-  in-box shard workers of :class:`~repro.engine.shard.ShardPool`
-  (``send_bytes``/``recv_bytes`` already carry a length prefix; this
-  class adds the size bound on both directions and per-receive
-  deadlines via ``poll``).
-* :class:`SocketChannel` wraps a blocking TCP socket for the remote
-  workers of :mod:`repro.cluster` with an explicit 4-byte big-endian
-  length prefix (``TCP_NODELAY`` set: RPC frames are small and
-  latency-bound).
-
-Both raise the same typed surface: :class:`TimeoutError` when a receive
-deadline lapses (the caller decides whether that means a dead peer),
+Its typed surface: :class:`TimeoutError` when a receive deadline lapses
+(the caller decides whether that means a dead peer),
 :class:`EOFError`/:class:`OSError` when the peer hung up, and
 :class:`~repro.errors.FrameTooLargeError` for an oversized frame on
 either direction -- before sending (channel stays usable) or on a
@@ -29,51 +21,7 @@ import socket
 from ..errors import FrameTooLargeError
 from .frames import FRAME_HEADER, MAX_RPC_FRAME_BYTES, check_frame_size, payload_length
 
-__all__ = ["PipeChannel", "SocketChannel"]
-
-
-class PipeChannel:
-    """Bounded frame channel over a ``multiprocessing.Connection``."""
-
-    def __init__(self, conn, max_frame_bytes: int = MAX_RPC_FRAME_BYTES):
-        self._conn = conn
-        self.max_frame_bytes = int(max_frame_bytes)
-
-    def send(self, payload: bytes) -> None:
-        """Send one frame; oversized payloads raise before any I/O."""
-        check_frame_size(len(payload), self.max_frame_bytes)
-        self._conn.send_bytes(payload)
-
-    def recv(self, timeout_s: float | None = None) -> bytes:
-        """The next frame; raises :class:`TimeoutError` past the deadline."""
-        if timeout_s is not None and not self._conn.poll(timeout_s):
-            raise TimeoutError(
-                f"no RPC reply within {timeout_s:.1f}s"
-            )
-        try:
-            return self._conn.recv_bytes(self.max_frame_bytes)
-        except OSError as error:
-            # Connection.recv_bytes(maxlength) reports an oversized
-            # announced frame as a bare OSError("bad message length");
-            # surface it as the typed bound violation.  The unread
-            # payload makes the stream unrecoverable, so close.
-            if "message length" in str(error):
-                self.close()
-                raise FrameTooLargeError(
-                    f"peer announced an RPC frame beyond the "
-                    f"{self.max_frame_bytes}-byte limit"
-                ) from None
-            raise
-
-    def poll(self, timeout_s: float = 0.0) -> bool:
-        """True when a frame is ready within ``timeout_s``."""
-        return self._conn.poll(timeout_s)
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+__all__ = ["SocketChannel"]
 
 
 class SocketChannel:

@@ -3,9 +3,9 @@
 A :class:`WorkerServer` owns a full
 :class:`~repro.engine.SessionManager` (models, mechanism ladder,
 verdict cache -- built once from the worker's engine configuration) and
-answers the same op set as a local shard worker -- open, step,
-step_batch, peek_budget, finish, checkpoint, suspend, resume,
-suspend_all, stats -- over asyncio TCP using the typed cluster codec
+answers the engine op set -- open, step, step_batch, peek_budget,
+finish, checkpoint, suspend, resume, suspend_all, stats -- over asyncio
+TCP using the typed cluster codec
 (:mod:`repro.cluster.codec`) under bounded length-prefixed frames
 (:mod:`repro.cluster.frames`).  Received bytes are never unpickled.
 
@@ -13,8 +13,8 @@ Concurrency model
 -----------------
 The event loop only reads frames and writes replies.  Engine ops run on
 a *single* worker thread, which serializes them in arrival order --
-exactly the per-shard ordering a pipe-based shard worker gets for free
-from being single-threaded -- while ``ping`` and ``hello`` are answered
+per-worker ordering, as if the worker were single-threaded -- while
+``ping`` and ``hello`` are answered
 inline on the loop.  A worker grinding through a big ``step_batch``
 therefore still answers heartbeats immediately: a *busy* worker and a
 *hung* worker look different to the router.
@@ -27,6 +27,10 @@ manager re-materializes models on demand.  Sessions bound to a server's
 *default* configuration assume every worker was started with the same
 engine flags -- keep worker and router configurations identical (the
 ``repro worker`` CLI takes the same engine flags as ``repro serve``).
+
+:func:`spawn_local_worker` starts one worker as a child process on a
+loopback port; ``repro serve --shards N`` is N of them behind
+:meth:`~repro.cluster.ClusterBackend.spawn_local`.
 """
 
 from __future__ import annotations
@@ -34,24 +38,119 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
 import os
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from ..engine.backend import step_batch_on_manager
 from ..engine.manager import SessionManager
-from ..engine.shard import _worker_execute, default_context
 from ..errors import FrameTooLargeError, ProtocolError, ServiceError
 from ..obs.trace import Tracer
 from .chaos import FaultInjector, FaultPlan
 from .codec import decode_message, encode_error, encode_ok
 from .frames import FRAME_HEADER, MAX_RPC_FRAME_BYTES, pack_frame, payload_length
 
-__all__ = ["WorkerServer", "run_worker", "spawn_local_worker"]
+__all__ = [
+    "WorkerServer",
+    "run_worker",
+    "spawn_local_worker",
+    "spawn_local_workers",
+    "stop_local_worker",
+]
 
 #: Seconds a spawned local worker gets to report its bound port.
 LOCAL_SPAWN_TIMEOUT_S = 120.0
+#: Seconds between a local worker's checks that its parent is alive.
+PARENT_CHECK_INTERVAL_S = 1.0
+
+
+def default_context() -> multiprocessing.context.BaseContext:
+    """``fork`` where supported (closures allowed), else ``spawn``."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _worker_execute(manager: SessionManager, metrics, op: str, args, tracer=None):
+    """Dispatch one RPC op against the worker's private manager.
+
+    ``tracer`` (the worker process's :class:`~repro.obs.trace.Tracer`)
+    only feeds the ``stats`` payload here -- :meth:`WorkerServer._run_op`
+    records the actual ``solver`` spans, since only it sees the
+    propagated trace id.
+    """
+    if op == "step":
+        sid, cell = args
+        metrics.record_request("step")
+        manager.validate_step(sid, cell)
+        record = manager.step(sid, cell)
+        metrics.record_step(record.elapsed_s, record)
+        return record
+    if op == "step_batch":
+        records, errors = step_batch_on_manager(manager, args)
+        for record in records.values():
+            metrics.record_request("step")
+            metrics.record_step(record.elapsed_s, record)
+        for error in errors.values():
+            metrics.record_error(type(error).__name__)
+        return records, errors
+    if op == "open":
+        sid, seed, scenario = args
+        metrics.record_request("open")
+        manager.open(sid, rng=seed, scenario=scenario)
+        metrics.record_session_event("opened")
+        return manager.horizon_of(sid)
+    if op == "peek_budget":
+        metrics.record_request("peek_budget")
+        return manager.peek_budget(args)
+    if op == "finish":
+        metrics.record_request("finish")
+        log = manager.finish(args)
+        metrics.record_session_event("finished")
+        return log
+    if op == "checkpoint":
+        metrics.record_request("checkpoint")
+        return manager.checkpoint(args)
+    if op == "suspend":
+        state = manager.suspend(args)
+        metrics.record_session_event("evicted")
+        return state
+    if op == "resume":
+        sid = manager.resume(args)
+        metrics.record_session_event("restored")
+        return sid
+    if op == "suspend_all":
+        states = [manager.suspend(sid) for sid in list(manager.session_ids)]
+        metrics.record_session_event("evicted", len(states))
+        return states
+    if op == "session_ids":
+        return manager.session_ids
+    if op == "cache_stats":
+        return manager.cache_stats()
+    if op == "stats":
+        cache = manager.cache_stats()
+        return {
+            "pid": os.getpid(),
+            "sessions": len(manager),
+            "scenarios": manager.scenario_digests(),
+            "metrics": metrics.dump(),
+            "tracing": None if tracer is None else tracer.stats(),
+            "spans": [] if tracer is None else tracer.recent(32),
+            "verdict_cache": None
+            if cache is None
+            else {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "hit_rate": round(cache.hit_rate, 6),
+                "size": cache.size,
+                "evictions": cache.evictions,
+            },
+        }
+    if op == "ping":
+        return "pong"
+    raise ServiceError(f"unknown worker op {op!r}")
 
 
 class WorkerServer:
@@ -405,7 +504,7 @@ def run_worker(
 
 
 # ----------------------------------------------------------------------
-# local spawning (tests, benchmarks, examples)
+# local spawning (`repro serve --shards N`, tests, benchmarks)
 # ----------------------------------------------------------------------
 def _local_worker_main(
     conn, factory, host, max_frame_bytes, fault_plan, capacity=None
@@ -414,6 +513,14 @@ def _local_worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
+    parent = os.getppid()
+
+    async def exit_with_parent(server: WorkerServer) -> None:
+        # A local worker never outlives the process that spawned it: a
+        # SIGKILLed `repro serve --shards N` must not leave N orphans.
+        while os.getppid() == parent:
+            await asyncio.sleep(PARENT_CHECK_INTERVAL_S)
+        server.request_stop()
 
     async def main() -> None:
         server = WorkerServer(
@@ -435,9 +542,84 @@ def _local_worker_main(
             json.dumps({"port": server.port, "pid": os.getpid()}).encode()
         )
         conn.close()
+        watchdog = asyncio.get_running_loop().create_task(exit_with_parent(server))
         await server.wait_stopped()
+        watchdog.cancel()
 
     asyncio.run(main())
+
+
+def _await_report(conn, host: str, spawn_timeout_s: float) -> str:
+    """A started worker's address, from the port it reports on ``conn``."""
+    try:
+        if not conn.poll(spawn_timeout_s):
+            raise ServiceError(
+                f"cluster worker did not come up within {spawn_timeout_s:.0f}s"
+            )
+        report = json.loads(conn.recv_bytes(1 << 16).decode())
+    except (EOFError, OSError) as error:
+        raise ServiceError(
+            "cluster worker exited before reporting its port"
+        ) from error
+    finally:
+        conn.close()
+    if "error" in report:
+        raise ServiceError(f"cluster worker failed to start: {report['error']}")
+    return f"tcp://{host}:{report['port']}"
+
+
+def stop_local_worker(process, grace_s: float = 0.0, timeout_s: float = 5.0) -> None:
+    """Reap a spawned worker: wait ``grace_s``, then terminate and join."""
+    process.join(grace_s)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout_s)
+
+
+def spawn_local_workers(
+    factory: Callable[[], SessionManager],
+    n_workers: int,
+    host: str = "127.0.0.1",
+    context=None,
+    max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
+    spawn_timeout_s: float = LOCAL_SPAWN_TIMEOUT_S,
+    fault_plan: FaultPlan | None = None,
+    capacity: float | None = None,
+) -> list[tuple]:
+    """Start ``n_workers`` workers in child processes on OS-assigned ports.
+
+    The children build their managers concurrently.  Returns
+    ``[(process, address), ...]`` with addresses like
+    ``tcp://127.0.0.1:43127``; the caller owns the processes (stop them
+    via a ``shutdown`` RPC, a signal, or :func:`stop_local_worker`).
+    When any worker fails to come up, every child already started is
+    stopped and :class:`ServiceError` is raised with the factory's
+    message.  ``fault_plan`` and ``capacity`` are as in
+    :func:`spawn_local_worker`.
+    """
+    ctx = context if context is not None else default_context()
+    started = []
+    try:
+        for _ in range(n_workers):
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            process = ctx.Process(
+                target=_local_worker_main,
+                args=(child_conn, factory, host, max_frame_bytes, fault_plan, capacity),
+                name="repro-cluster-worker",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            started.append((process, parent_conn))
+        return [
+            (process, _await_report(conn, host, spawn_timeout_s))
+            for process, conn in started
+        ]
+    except BaseException:
+        for process, conn in started:
+            conn.close()
+            stop_local_worker(process)
+        raise
 
 
 def spawn_local_worker(
@@ -451,40 +633,12 @@ def spawn_local_worker(
 ):
     """Start a worker in a child process on an OS-assigned port.
 
-    Returns ``(process, address)`` with ``address`` like
-    ``tcp://127.0.0.1:43127``.  The caller owns the process: stop it via
-    a ``shutdown`` RPC, a signal, or ``process.terminate()``.  Raises
-    :class:`ServiceError` when the worker fails to come up (the
-    factory's error message is included).  ``fault_plan`` arms the
-    child's deterministic fault injection -- the test-side counterpart
-    of ``repro worker --fault-plan``; ``capacity`` sets its placement
-    weight (``repro worker --capacity``).
+    Returns ``(process, address)``; see :func:`spawn_local_workers`.
+    ``fault_plan`` arms the child's deterministic fault injection -- the
+    test-side counterpart of ``repro worker --fault-plan``; ``capacity``
+    sets its placement weight (``repro worker --capacity``).
     """
-    ctx = context if context is not None else default_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_local_worker_main,
-        args=(child_conn, factory, host, max_frame_bytes, fault_plan, capacity),
-        name="repro-cluster-worker",
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
-    try:
-        if not parent_conn.poll(spawn_timeout_s):
-            raise ServiceError(
-                f"cluster worker did not come up within {spawn_timeout_s:.0f}s"
-            )
-        report = json.loads(parent_conn.recv_bytes(1 << 16).decode())
-    except (EOFError, OSError) as error:
-        process.terminate()
-        process.join(5)
-        raise ServiceError(
-            "cluster worker exited before reporting its port"
-        ) from error
-    finally:
-        parent_conn.close()
-    if "error" in report:
-        process.join(5)
-        raise ServiceError(f"cluster worker failed to start: {report['error']}")
-    return process, f"tcp://{host}:{report['port']}"
+    return spawn_local_workers(
+        factory, 1, host, context, max_frame_bytes, spawn_timeout_s,
+        fault_plan, capacity,
+    )[0]

@@ -15,9 +15,8 @@ a time*; this package exposes exactly that shape:
   two-world models, a shared mechanism ladder and a :class:`VerdictCache`
   of solver verdicts;
 * :class:`ExecutionBackend` -- where a fleet's work runs:
-  :class:`InProcessBackend` (one manager, this process) or
-  :class:`ShardPool` (N worker processes with deterministic
-  session->shard routing, the multi-core serving path);
+  :class:`InProcessBackend` (one manager, this process); the
+  multi-process backends live in :mod:`repro.cluster`;
 * the mechanism-provider protocol (moved here from
   :mod:`repro.core.priste`, which still re-exports it).
 
@@ -50,7 +49,6 @@ from .session import (
     SessionState,
     step_sessions_lockstep,
 )
-from .shard import ShardPool, shard_for
 
 __all__ = [
     "BinarySearchCalibration",
@@ -72,14 +70,12 @@ __all__ = [
     "SessionManager",
     "SessionState",
     "STATE_SCHEMA_VERSION",
-    "ShardPool",
     "StaticMechanismProvider",
     "VerdictCache",
     "as_backend",
     "config_with",
     "digest_array",
     "resolve_strategy",
-    "shard_for",
     "stack_release_logs",
     "step_sessions_lockstep",
 ]

@@ -9,15 +9,17 @@ implementations exist:
   ``SessionManager`` in the calling process.  Steps run wherever the
   caller runs them (the service offloads onto its thread pool); this is
   the single-process path that existed before backends did.
-* :class:`~repro.engine.shard.ShardPool` -- N worker processes *on this
-  machine*, each owning a full ``SessionManager``, with deterministic
-  session->shard routing.  Engine CPU leaves the caller's process
-  entirely, so a multi-core machine serves near-linearly in cores
-  instead of contending on one GIL.
 * :class:`~repro.cluster.ClusterBackend` -- N ``repro worker``
-  processes on *any* machines, reached over TCP with the same typed RPC
-  codec, placed by a consistent-hash ring, with live session migration
-  between workers (see :mod:`repro.cluster`).
+  processes, each owning a full ``SessionManager``, reached over TCP
+  with a typed RPC codec, placed by a consistent-hash ring, with live
+  session migration between workers (see :mod:`repro.cluster`).  The
+  workers run on this machine (``--shards N``, so engine CPU leaves the
+  caller's process and a multi-core machine serves near-linearly in
+  cores instead of contending on one GIL) or on any machines
+  (``--backend``).
+* :class:`~repro.cluster.ClusterSupervisor` -- wraps a cluster backend
+  with checkpoint-replay recovery; ``repro serve`` always drives
+  workers through it.
 
 Every method is synchronous and thread-safe to call from worker
 threads; async plumbing, per-session ordering locks and residency/LRU
@@ -53,7 +55,7 @@ def step_batch_on_manager(
 
     Returns ``(records, errors)`` keyed by session id; every input id
     appears in exactly one of the two.  Shared by
-    :class:`InProcessBackend` and the shard worker loop so both serving
+    :class:`InProcessBackend` and the cluster worker so both serving
     modes fail a batch identically.
     """
     errors: dict[str, BaseException] = {}
@@ -85,11 +87,11 @@ class ExecutionBackend(abc.ABC):
     the service's store-backed eviction and graceful drain ride on.
     """
 
-    #: Number of shard worker processes (0 = everything in-process).
+    #: Number of worker processes (0 = everything in-process).
     n_shards: int = 0
     #: True when operations cross a process boundary.  The server keeps
     #: even cheap lifecycle ops off the event loop for remote backends,
-    #: since an RPC can block behind a shard's in-flight batch.
+    #: since an RPC can block behind a worker's in-flight batch.
     remote: bool = False
 
     @property
@@ -139,9 +141,9 @@ class ExecutionBackend(abc.ABC):
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
         """Step many sessions with per-member error isolation.
 
-        Same contract as :func:`step_batch_on_manager`; sharded
+        Same contract as :func:`step_batch_on_manager`; worker
         backends additionally fan the batch out as one message per
-        shard.
+        worker.
         """
 
     @abc.abstractmethod
@@ -165,7 +167,7 @@ class ExecutionBackend(abc.ABC):
         """Suspend every resident session (graceful drain).
 
         Returns ``(states, lost)``: the checkpointed states plus the ids
-        of sessions that could not be checkpointed because their shard
+        of sessions that could not be checkpointed because their worker
         died -- never silently dropped.
         """
 
@@ -198,8 +200,8 @@ class ExecutionBackend(abc.ABC):
         """Sessions unreachable behind dead shards/workers.
 
         In-process backends cannot lose sessions this way; multi-process
-        ones override (:meth:`~repro.engine.shard.ShardPool.lost_session_ids`,
-        :meth:`~repro.cluster.ClusterBackend.lost_session_ids`).
+        ones override
+        (:meth:`~repro.cluster.ClusterBackend.lost_session_ids`).
         """
         return []
 

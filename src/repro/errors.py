@@ -137,21 +137,21 @@ class OverloadedError(ServiceBusyError):
 
 
 class ShardDownError(ServiceError):
-    """A shard worker process died; its sessions are unreachable.
+    """A worker process owning sessions died; they are unreachable.
 
-    Raised by the sharded execution backend (:mod:`repro.engine.shard`)
-    when the process owning a session's shard has exited, hung past its
-    RPC deadline, or its RPC channel broke.  Sessions routed to a dead
-    shard keep raising this typed error instead of silently
-    disappearing; sessions on other shards are unaffected.
+    The base of :class:`WorkerDownError`, which every worker fleet
+    raises today; it survives as the ``shard_down`` wire code so clients
+    that catch it keep working.  Sessions on a dead worker keep raising
+    this typed error instead of silently disappearing; sessions on
+    other workers are unaffected.
     """
 
 
 class WorkerDownError(ShardDownError):
-    """A remote cluster worker is unreachable; its sessions are lost.
+    """A cluster worker is unreachable; its sessions are lost.
 
-    The multi-host counterpart of :class:`ShardDownError`, raised by
-    :class:`~repro.cluster.ClusterBackend` when a TCP worker's channel
+    Raised by :class:`~repro.cluster.ClusterBackend` -- local
+    (``--shards``) or remote (``--backend``) -- when a worker's channel
     broke, its heartbeat lapsed, or an RPC exceeded its deadline.
     Sessions assigned to the dead worker keep raising this typed error;
     sessions on other workers -- and new opens, which re-route around
@@ -166,7 +166,7 @@ class ProtocolError(ServiceError, ValueError):
 class FrameTooLargeError(ProtocolError):
     """A length-prefixed RPC frame exceeds the transport's size bound.
 
-    Raised on *both* sides of the shard/cluster RPC channels
+    Raised on *both* sides of the cluster RPC channel
     (:mod:`repro.cluster.frames`): before sending a frame that would
     exceed the limit (the channel stays usable) and on receiving a
     length header that announces one (the channel cannot be re-synced

@@ -1,12 +1,11 @@
 """Observability for the serving stack: tracing, metrics, exposition.
 
 The serving path spans four layers -- asyncio server, thread-pool
-executor / step batcher, shard-process pool, multi-host cluster -- and
+executor / step batcher, cluster router, worker processes -- and
 before this package the only window into it was one counter blob behind
 the ``stats`` op.  This package is the telemetry layer all of them now
 share, stdlib-only and import-light (nothing here imports the engine or
-the service, so shard workers and cluster workers use it too without
-cycles).
+the service, so cluster workers use it too without cycles).
 
 Architecture::
 
@@ -18,7 +17,7 @@ Architecture::
            │  span: queue_wait, batch_wait   │      counters/gauges/
            ▼                                 │      histograms, one lock,
          ExecutionBackend                    │      Prometheus text 0.0.4
-           │  ShardPool / ClusterBackend     │
+           │  ClusterBackend (+ supervisor)  │
            │  span: rpc (trace rides the     │    stats op («spans»: N)
            │  typed codec's optional         │      -> obs.trace ring
            │  "trace" frame field)           │         buffers (recent,

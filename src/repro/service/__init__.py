@@ -24,23 +24,23 @@ bottom::
                                      resident memory
            metrics.py             -- counters + latency histograms behind
                                      the `stats` op; mergeable dumps so
-                                     per-shard metrics aggregate
+                                     per-worker metrics aggregate
            client.py              -- async + sync clients
       -> repro.engine.backend      -- ExecutionBackend: where fleet work
                                      runs.  InProcessBackend (one
-                                     SessionManager, this process),
-                                     ShardPool (`--shards N`: N worker
-                                     processes, each owning a full
-                                     manager, deterministic session->
-                                     shard routing, typed bounded-frame
-                                     RPC, batched one-message-per-shard
-                                     dispatch, typed `shard_down` crash
-                                     containment), or ClusterBackend
-                                     (`--backend tcp://w1:9001,...`:
-                                     `repro worker` processes on any
-                                     machines, consistent-hash
-                                     placement, live migration via the
-                                     `migrate` op -- repro.cluster)
+                                     SessionManager, this process) or a
+                                     ClusterSupervisor over a
+                                     ClusterBackend (repro.cluster):
+                                     `repro worker` processes, each
+                                     owning a full manager -- N local
+                                     ones with `--shards N`, or any
+                                     machines' with `--backend
+                                     tcp://w1:9001,...` -- with
+                                     consistent-hash placement, batched
+                                     one-message-per-worker dispatch,
+                                     typed `worker_down` crash
+                                     containment, checkpoint-replay
+                                     recovery and live migration
       -> repro.engine              -- SessionManager fan-out, ReleaseSession,
                                      shared VerdictCache + mechanism ladder
       -> repro.core                -- two-world models, Theorem IV.1, QP
@@ -49,19 +49,18 @@ bottom::
     dependencies.)
 
 Many connections multiplex onto one shared execution backend; different
-sessions step in parallel (worker threads in-process, shard processes
-with ``--shards``) while each individual session's steps stay strictly
-ordered, so a server-mediated release stream is bit-identical to
-driving the manager directly under the same seeds -- at any shard
-count.  Threads scale until one process saturates a couple of cores on
-the GIL's bookkeeping; shards scale with the machine because every
-shard owns its engine outright and the serving layer only routes; the
-cluster backend scales past the machine with the same routing contract
-(and sessions survive worker drains via live migration).
+sessions step in parallel (worker threads in-process, worker processes
+with ``--shards`` or ``--backend``) while each individual session's
+steps stay strictly ordered, so a server-mediated release stream is
+bit-identical to driving the manager directly under the same seeds --
+at any worker count.  Threads scale until one process saturates a
+couple of cores on the GIL's bookkeeping; workers scale with the
+machine because every worker owns its engine outright and the serving
+layer only routes, and ``--backend`` takes the same contract past the
+machine (sessions survive worker drains via live migration).
 """
 
 from ..engine.backend import ExecutionBackend, InProcessBackend, as_backend
-from ..engine.shard import ShardPool, shard_for
 from .client import AsyncServiceClient, RetryPolicy, ServiceClient
 from .executor import SessionExecutor, StepBatcher, default_workers
 from .metrics import LatencyHistogram, ServiceMetrics
@@ -105,7 +104,6 @@ __all__ = [
     "ServiceMetrics",
     "SessionExecutor",
     "SessionStore",
-    "ShardPool",
     "ShedConfig",
     "StepBatcher",
     "as_backend",
@@ -119,5 +117,4 @@ __all__ = [
     "parse_reply",
     "parse_request",
     "resolve_store",
-    "shard_for",
 ]

@@ -234,11 +234,11 @@ class StepBatcher:
     that request alone; only an engine-level error inside the shared
     batched call fails that member's timestamp group.
 
-    With a sharded backend the flushed batch additionally fans out as
-    at most one RPC per shard (see
-    :meth:`repro.engine.shard.ShardPool.step_batch`), which is the
+    With a worker backend (``--shards`` or ``--backend``) the flushed
+    batch additionally fans out as at most one RPC per worker (see
+    :meth:`repro.cluster.ClusterBackend.step_batch`), which is the
     multi-core scaling path: one collection window's worth of steps
-    runs on every shard process in parallel.
+    runs on every worker process in parallel.
     """
 
     def __init__(

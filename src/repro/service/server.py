@@ -2,9 +2,10 @@
 
 The backend is either the in-process :class:`SessionManager` adapter
 (single process, worker-thread offload) or a
-:class:`~repro.engine.shard.ShardPool` of worker processes
-(``repro serve --shards N``), selected by the CLI; the server's
-admission, ordering, eviction and drain logic is identical for both.
+:class:`~repro.cluster.ClusterSupervisor` over worker processes
+(``repro serve --shards N`` or ``--backend``), selected by the CLI; the
+server's admission, ordering, eviction and drain logic is identical for
+both.
 
 Concurrency model
 -----------------
@@ -141,8 +142,8 @@ class ReleaseServer:
     ``engine`` may be a :class:`~repro.engine.SessionManager` (wrapped
     into the in-process backend, the historical single-process path) or
     any :class:`~repro.engine.backend.ExecutionBackend` -- notably a
-    :class:`~repro.engine.shard.ShardPool`, which spreads the fleet
-    over N worker processes for near-linear core scaling.
+    :class:`~repro.cluster.ClusterSupervisor` over N worker processes,
+    which spreads the fleet for near-linear core scaling.
 
     Multi-tenancy: ``open`` accepts an inline
     :class:`~repro.scenario.ScenarioSpec` JSON object, gated by a
@@ -186,8 +187,8 @@ class ReleaseServer:
         self._session_scenario: dict[str, str] = {}
         self._scenario_counters: dict[str, dict[str, int]] = {}
         if self._backend.remote and self._config.workers == 0:
-            # Inline execution would run blocking shard RPCs on the
-            # event loop; one RPC queued behind a shard's in-flight
+            # Inline execution would run blocking worker RPCs on the
+            # event loop; one RPC queued behind a worker's in-flight
             # batch would stall every connection.
             raise ServiceError(
                 "workers=0 (inline) is incompatible with a sharded backend; "
@@ -437,9 +438,9 @@ class ReleaseServer:
         if self._server is not None:
             await self._server.wait_closed()
         # Round-trip every resident session's state out of its owning
-        # backend (shard workers included) into the store.  Sessions on
-        # a dead shard cannot be checkpointed; they are counted, never
-        # silently dropped.
+        # backend (worker processes included) into the store.  Sessions
+        # on a dead worker cannot be checkpointed; they are counted,
+        # never silently dropped.
         states, lost = self._backend.suspend_all()
         if lost:
             self._metrics.record_failure("sessions_lost", len(lost))
@@ -646,8 +647,8 @@ class ReleaseServer:
             # manager, interned by digest, off the loop.
             spec = self._scenarios.admit(request.scenario)
         if self._backend.remote or spec is not None:
-            # Off the event loop: a shard RPC can block behind the
-            # shard's in-flight batch, and compiling a first-seen
+            # Off the event loop: a worker RPC can block behind the
+            # worker's in-flight batch, and compiling a first-seen
             # scenario builds O(m^2) models.
             horizon = await self._executor.run(
                 sid,
@@ -811,9 +812,8 @@ class ReleaseServer:
     async def _op_migrate(self, request: Request) -> dict:
         """Drain one cluster worker's sessions onto the remaining ring.
 
-        Only meaningful for backends that place sessions dynamically
-        (``--backend tcp://``); shard pools route by hash and cannot
-        rehome a session.  The drain runs off the event loop -- it is
+        Only meaningful for worker backends (``--shards`` or
+        ``--backend``).  The drain runs off the event loop -- it is
         one ``suspend_all`` RPC plus a ``resume`` per session -- while
         racing step requests retry transparently onto each session's
         new home inside the backend.
@@ -824,7 +824,7 @@ class ReleaseServer:
         if drain is None:
             raise ServiceError(
                 "this server's backend has no migratable workers; "
-                "'migrate' requires a cluster backend (--backend tcp://...)"
+                "'migrate' requires --shards or --backend"
             )
         summary = await asyncio.get_running_loop().run_in_executor(
             None, drain, request.worker
@@ -844,7 +844,7 @@ class ReleaseServer:
         if join is None:
             raise ServiceError(
                 "this server's backend has fixed membership; "
-                "'join' requires a cluster backend (--backend tcp://...)"
+                "'join' requires --shards or --backend"
             )
         summary = await asyncio.get_running_loop().run_in_executor(
             None, join, request.worker
@@ -862,7 +862,7 @@ class ReleaseServer:
         if leave is None:
             raise ServiceError(
                 "this server's backend has fixed membership; "
-                "'leave' requires a cluster backend (--backend tcp://...)"
+                "'leave' requires --shards or --backend"
             )
         summary = await asyncio.get_running_loop().run_in_executor(
             None, leave, request.worker
@@ -881,7 +881,7 @@ class ReleaseServer:
         if status is None:
             raise ServiceError(
                 "this server's backend is not a cluster; "
-                "'cluster_status' requires --backend tcp://..."
+                "'cluster_status' requires --shards or --backend"
             )
         return await asyncio.get_running_loop().run_in_executor(None, status)
 
@@ -890,7 +890,7 @@ class ReleaseServer:
         if request is not None:
             spans = int(request.extra.get("spans", 0))
         if self._backend.remote:
-            # Shard RPCs can wait behind an in-flight batch; gather the
+            # Worker RPCs can wait behind an in-flight batch; gather the
             # backend's numbers off the event loop.
             return await asyncio.get_running_loop().run_in_executor(
                 None, self._collect_stats, spans
@@ -899,7 +899,7 @@ class ReleaseServer:
 
     def _collect_stats(self, spans: int = 0) -> dict:
         snapshot = self._metrics.snapshot()
-        # One RPC round per shard: the per-shard rows already carry each
+        # One RPC round per worker: the per-worker rows already carry each
         # worker's verdict-cache counters, so the aggregate is derived
         # from them instead of a second cache_stats round trip.
         shard_rows = self._backend.shard_stats()
@@ -965,7 +965,11 @@ class ReleaseServer:
         return snapshot
 
     def _shard_section(self, rows: list[dict] | None) -> dict | None:
-        """Per-shard counters + their aggregate (``None`` in-process)."""
+        """Per-worker counters + their aggregate (``None`` in-process).
+
+        Keeps the historical ``shards`` wire shape
+        (``count``/``alive``/``per_shard``/``aggregate``).
+        """
         if rows is None:
             return None
         dumps = [row["metrics"] for row in rows if row.get("alive")]
@@ -981,8 +985,8 @@ class ReleaseServer:
     # probes and exposition
     # ------------------------------------------------------------------
     #: Heartbeat age (seconds) past which a worker counts as stale for
-    #: readiness.  Covers both backends' heartbeat periods (shard pool
-    #: 10 s, cluster 5 s) with headroom for a long engine batch.
+    #: readiness.  Six of the cluster backend's 5 s heartbeat periods:
+    #: headroom for a long engine batch.
     STALE_HEARTBEAT_S = 30.0
 
     def _readiness(self) -> tuple[bool, str]:
@@ -1067,9 +1071,9 @@ class ReleaseServer:
 
         Runs on a worker thread; only touches the (thread-safe) store
         and the backend entry for ``sid``, which the per-session lock
-        protects.  With a sharded backend the state round-trips into
-        the owning shard -- routing is a pure hash of the id, so a
-        checkpoint taken under any shard count restores correctly.
+        protects.  With a worker backend the state round-trips into the
+        worker the ring places it on -- checkpoints carry everything, so
+        one taken under any worker count restores correctly.
         """
         if self._backend.contains(sid):
             return False
@@ -1103,7 +1107,7 @@ class ReleaseServer:
                 try:
                     self._store.put(self._backend.suspend(sid))
                 except ShardDownError:
-                    # The victim's shard died: it cannot be evicted (or
+                    # The victim's worker died: it cannot be evicted (or
                     # served), but that is the *victim's* loss -- never
                     # an error for the unrelated request that happened
                     # to trigger eviction.  Dropping it from the LRU

@@ -24,7 +24,7 @@ import pytest
 
 from repro.cluster.backend import ClusterBackend, WorkerHandle, parse_address
 from repro.cluster.frames import FRAME_HEADER
-from repro.cluster.worker import spawn_local_worker
+from repro.cluster.worker import spawn_local_workers, stop_local_worker
 from repro.engine.session import SessionState
 from repro.errors import (
     FrameTooLargeError,
@@ -34,30 +34,26 @@ from repro.errors import (
     WorkerDownError,
 )
 
-from test_engine_shard import (
+from topology import (
     HORIZON,
     N_CELLS,
+    kill_worker,
     make_manager,
     make_trajectories,
+    open_backend,
     reference_records,
     strip,
 )
 
 
 def spawn_fleet(n_workers: int = 2):
-    procs, addresses = [], []
-    for _ in range(n_workers):
-        process, address = spawn_local_worker(make_manager)
-        procs.append(process)
-        addresses.append(address)
-    return procs, addresses
+    spawned = spawn_local_workers(make_manager, n_workers)
+    return [p for p, _ in spawned], [a for _, a in spawned]
 
 
 def stop_fleet(procs):
     for process in procs:
-        process.terminate()
-    for process in procs:
-        process.join(10)
+        stop_local_worker(process)
 
 
 @pytest.fixture(scope="module")
@@ -171,177 +167,138 @@ class TestMigration:
     def test_drill_100_sessions_zero_drops_bit_identical(self):
         """The acceptance drill: 100+ live sessions, one worker drained
         mid-stream, zero dropped streams, bit-identical to unmigrated."""
-        procs, addresses = spawn_fleet(2)
-        try:
-            trajectories = make_trajectories(100, seed=23)
-            reference = reference_records(trajectories)
-            with ClusterBackend(addresses, heartbeat_interval_s=0) as cluster:
-                for i, name in enumerate(trajectories):
-                    cluster.open(name, seed=1000 + i)
-                got = {name: [] for name in trajectories}
-                half = HORIZON // 2
-                for t in range(half):
-                    records, errors = cluster.step_batch(
-                        {n: trajectories[n][t] for n in trajectories}
-                    )
-                    assert errors == {}
-                    for name, record in records.items():
-                        got[name].append(strip(record))
+        trajectories = make_trajectories(100, seed=23)
+        reference = reference_records(trajectories)
+        with open_backend("local", heartbeat_interval_s=0) as cluster:
+            for i, name in enumerate(trajectories):
+                cluster.open(name, seed=1000 + i)
+            got = {name: [] for name in trajectories}
+            half = HORIZON // 2
+            for t in range(half):
+                records, errors = cluster.step_batch(
+                    {n: trajectories[n][t] for n in trajectories}
+                )
+                assert errors == {}
+                for name, record in records.items():
+                    got[name].append(strip(record))
 
-                drained = cluster.shard_stats()[0]["worker"]
-                summary = cluster.drain_worker(drained)
-                assert summary["worker"] == drained
-                assert summary["migrated"] >= 1
-                assert sum(summary["targets"].values()) == summary["migrated"]
-                # every session now lives on the other worker
-                rows = {r["worker"]: r for r in cluster.shard_stats()}
-                assert rows[drained]["sessions"] == 0
-                assert rows[drained]["draining"] is True
+            drained = cluster.shard_stats()[0]["worker"]
+            summary = cluster.drain_worker(drained)
+            assert summary["worker"] == drained
+            assert summary["migrated"] >= 1
+            assert sum(summary["targets"].values()) == summary["migrated"]
+            # every session now lives on the other worker
+            rows = {r["worker"]: r for r in cluster.shard_stats()}
+            assert rows[drained]["sessions"] == 0
+            assert rows[drained]["draining"] is True
 
-                # the drained worker can die now: nothing is lost
-                for process, address in zip(procs, addresses):
-                    if address == drained:
-                        process.terminate()
-                        process.join(10)
-                assert cluster.lost_session_ids() == []
+            # the drained worker can die now: nothing is lost
+            kill_worker(cluster, drained)
+            assert cluster.lost_session_ids() == []
 
-                for t in range(half, HORIZON):
-                    records, errors = cluster.step_batch(
-                        {n: trajectories[n][t] for n in trajectories}
-                    )
-                    assert errors == {}, f"dropped streams: {sorted(errors)}"
-                    for name, record in records.items():
-                        got[name].append(strip(record))
-                assert got == reference  # bit-identical across the drain
-                for name in trajectories:
-                    assert len(cluster.finish(name)) == HORIZON
-        finally:
-            stop_fleet(procs)
+            for t in range(half, HORIZON):
+                records, errors = cluster.step_batch(
+                    {n: trajectories[n][t] for n in trajectories}
+                )
+                assert errors == {}, f"dropped streams: {sorted(errors)}"
+                for name, record in records.items():
+                    got[name].append(strip(record))
+            assert got == reference  # bit-identical across the drain
+            for name in trajectories:
+                assert len(cluster.finish(name)) == HORIZON
 
     def test_solo_steps_cross_a_drain(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            trajectories = make_trajectories(8, seed=31)
-            reference = reference_records(trajectories)
-            with ClusterBackend(addresses, heartbeat_interval_s=0) as cluster:
-                for i, name in enumerate(trajectories):
-                    cluster.open(name, seed=1000 + i)
-                got = {
-                    name: [strip(cluster.step(name, trajectories[name][0]))]
-                    for name in trajectories
-                }
-                cluster.drain_worker(addresses[0])
-                for name in trajectories:
-                    for cell in trajectories[name][1:]:
-                        got[name].append(strip(cluster.step(name, cell)))
-                assert got == reference
-        finally:
-            stop_fleet(procs)
+        trajectories = make_trajectories(8, seed=31)
+        reference = reference_records(trajectories)
+        with open_backend("local", heartbeat_interval_s=0) as cluster:
+            for i, name in enumerate(trajectories):
+                cluster.open(name, seed=1000 + i)
+            got = {
+                name: [strip(cluster.step(name, trajectories[name][0]))]
+                for name in trajectories
+            }
+            cluster.drain_worker(cluster.worker_addresses()[0])
+            for name in trajectories:
+                for cell in trajectories[name][1:]:
+                    got[name].append(strip(cluster.step(name, cell)))
+            assert got == reference
 
     def test_drain_validation(self, cluster):
         with pytest.raises(ServiceError, match="unknown worker"):
             cluster.drain_worker("tcp://nowhere:1")
 
     def test_draining_the_last_worker_is_refused(self):
-        procs, addresses = spawn_fleet(1)
-        try:
-            with ClusterBackend(addresses, heartbeat_interval_s=0) as cluster:
-                cluster.open("solo", seed=1)
-                with pytest.raises(ServiceError, match="no other live worker"):
-                    cluster.drain_worker(addresses[0])
-        finally:
-            stop_fleet(procs)
+        with open_backend("local", 1, heartbeat_interval_s=0) as cluster:
+            cluster.open("solo", seed=1)
+            with pytest.raises(ServiceError, match="no other live worker"):
+                cluster.drain_worker(cluster.worker_addresses()[0])
 
 
 class TestContainment:
     def test_worker_death_is_typed_and_contained(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            with ClusterBackend(
-                addresses, heartbeat_interval_s=0, rpc_timeout_s=30.0
-            ) as cluster:
-                for i in range(16):
-                    cluster.open(f"c{i}", seed=i)
-                victim = cluster.shard_stats()[0]["worker"]
-                victims = [
-                    sid
-                    for sid in cluster.session_ids()
-                    if cluster._assigned(sid) == victim
-                ]
-                survivors = [
-                    sid for sid in cluster.session_ids() if sid not in victims
-                ]
-                assert victims and survivors
-                for process, address in zip(procs, addresses):
-                    if address == victim:
-                        process.kill()
-                        process.join(10)
+        with open_backend(
+            "local", heartbeat_interval_s=0, rpc_timeout_s=30.0
+        ) as cluster:
+            for i in range(16):
+                cluster.open(f"c{i}", seed=i)
+            victim = cluster.shard_stats()[0]["worker"]
+            victims = [
+                sid
+                for sid in cluster.session_ids()
+                if cluster._assigned(sid) == victim
+            ]
+            survivors = [
+                sid for sid in cluster.session_ids() if sid not in victims
+            ]
+            assert victims and survivors
+            kill_worker(cluster, victim)
 
-                with pytest.raises(WorkerDownError):
-                    cluster.step(victims[0], 3)
-                # exactly the dead worker's sessions are lost
-                assert sorted(cluster.lost_session_ids()) == sorted(victims)
-                for sid in survivors:
-                    cluster.step(sid, 3)  # the other worker keeps serving
-                # new opens re-route around the hole
-                cluster.open("after-death", seed=99)
-                cluster.step("after-death", 5)
-                # batches report the typed error per lost member
-                records, errors = cluster.step_batch(
-                    {victims[1]: 2, survivors[0]: 2}
-                )
-                assert set(records) == {survivors[0]}
-                assert isinstance(errors[victims[1]], WorkerDownError)
-                rows = {r["worker"]: r for r in cluster.shard_stats()}
-                assert rows[victim]["alive"] is False
-                assert rows[victim]["lost_sessions"] == len(victims)
-        finally:
-            stop_fleet(procs)
+            with pytest.raises(WorkerDownError):
+                cluster.step(victims[0], 3)
+            # exactly the dead worker's sessions are lost
+            assert sorted(cluster.lost_session_ids()) == sorted(victims)
+            for sid in survivors:
+                cluster.step(sid, 3)  # the other worker keeps serving
+            # new opens re-route around the hole
+            cluster.open("after-death", seed=99)
+            cluster.step("after-death", 5)
+            # batches report the typed error per lost member
+            records, errors = cluster.step_batch(
+                {victims[1]: 2, survivors[0]: 2}
+            )
+            assert set(records) == {survivors[0]}
+            assert isinstance(errors[victims[1]], WorkerDownError)
+            rows = {r["worker"]: r for r in cluster.shard_stats()}
+            assert rows[victim]["alive"] is False
+            assert rows[victim]["lost_sessions"] == len(victims)
 
     def test_heartbeat_detects_a_silent_death(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            with ClusterBackend(
-                addresses,
-                heartbeat_interval_s=0.2,
-                heartbeat_timeout_s=1.0,
-            ) as cluster:
-                procs[0].kill()
-                procs[0].join(10)
-                deadline = time.monotonic() + 15.0
-                victim = addresses[0]
-                while time.monotonic() < deadline:
-                    if not cluster._handles[victim].alive:
-                        break
-                    time.sleep(0.1)
-                assert not cluster._handles[victim].alive
-                # placement ring already routed around the dead worker
-                cluster.open("post-heartbeat", seed=1)
-                cluster.step("post-heartbeat", 4)
-        finally:
-            stop_fleet(procs)
+        with open_backend(
+            "local",
+            heartbeat_interval_s=0.2,
+            heartbeat_timeout_s=1.0,
+        ) as cluster:
+            kill_worker(cluster, cluster.worker_addresses()[0], timeout_s=15.0)
+            # placement ring already routed around the dead worker
+            cluster.open("post-heartbeat", seed=1)
+            cluster.step("post-heartbeat", 4)
 
     def test_suspend_all_reports_losses(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            with ClusterBackend(
-                addresses, heartbeat_interval_s=0, rpc_timeout_s=30.0
-            ) as cluster:
-                for i in range(8):
-                    cluster.open(f"s{i}", seed=i)
-                victim = addresses[1]
-                doomed = [
-                    sid
-                    for sid in cluster.session_ids()
-                    if cluster._assigned(sid) == victim
-                ]
-                procs[1].kill()
-                procs[1].join(10)
-                states, lost = cluster.suspend_all()
-                assert sorted(lost) == sorted(doomed)
-                assert len(states) == 8 - len(doomed)
-        finally:
-            stop_fleet(procs)
+        with open_backend(
+            "local", heartbeat_interval_s=0, rpc_timeout_s=30.0
+        ) as cluster:
+            for i in range(8):
+                cluster.open(f"s{i}", seed=i)
+            victim = cluster.worker_addresses()[1]
+            doomed = [
+                sid
+                for sid in cluster.session_ids()
+                if cluster._assigned(sid) == victim
+            ]
+            kill_worker(cluster, victim)
+            states, lost = cluster.suspend_all()
+            assert sorted(lost) == sorted(doomed)
+            assert len(states) == 8 - len(doomed)
 
 
 class TestCrossPlacementRestore:

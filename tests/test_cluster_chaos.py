@@ -19,10 +19,10 @@ import pytest
 
 from repro.cluster.backend import WorkerHandle
 from repro.cluster.chaos import ChaosChannel, FaultInjector, FaultPlan
-from repro.cluster.worker import spawn_local_worker
+from repro.cluster.worker import spawn_local_worker, stop_local_worker
 from repro.errors import ValidationError, WorkerDownError
 
-from test_engine_shard import make_manager
+from topology import make_manager
 
 
 class TestFaultPlan:
@@ -182,8 +182,7 @@ class TestArmedWorker:
             process.join(10)
             assert process.exitcode == 137
         finally:
-            process.terminate()
-            process.join(10)
+            stop_local_worker(process)
 
     def test_hang_at_step_trips_the_rpc_deadline(self):
         process, address = spawn_local_worker(
@@ -198,8 +197,7 @@ class TestArmedWorker:
             assert process.is_alive()  # hung, not dead -- only the
             # deadline told them apart
         finally:
-            process.terminate()
-            process.join(10)
+            stop_local_worker(process)
 
     def test_blackhole_swallows_pings_but_serves_ops(self):
         process, address = spawn_local_worker(
@@ -223,8 +221,7 @@ class TestArmedWorker:
             assert record.t == 2
             probe.close()
         finally:
-            process.terminate()
-            process.join(10)
+            stop_local_worker(process)
 
 
 class TestSigtermDrain:

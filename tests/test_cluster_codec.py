@@ -14,7 +14,6 @@ The load-bearing guarantees of :mod:`repro.cluster`'s bottom layer:
   relocates only that member's keys.
 """
 
-import multiprocessing
 import socket
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.cluster.frames import (
     payload_length,
 )
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing, ring_hash
-from repro.cluster.transport import PipeChannel, SocketChannel
+from repro.cluster.transport import SocketChannel
 from repro.engine.cache import CacheStats
 from repro.errors import (
     FrameTooLargeError,
@@ -48,7 +47,7 @@ from repro.errors import (
     WorkerDownError,
 )
 
-from test_engine_shard import make_manager
+from topology import make_manager
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +224,9 @@ class TestCodecMessages:
         import pathlib
 
         import repro.cluster as cluster
-        import repro.engine.shard as shard
 
         package_dir = pathlib.Path(cluster.__file__).parent
-        sources = list(package_dir.glob("*.py")) + [pathlib.Path(shard.__file__)]
+        sources = list(package_dir.glob("*.py"))
         assert len(sources) >= 7
         for path in sources:
             text = path.read_text()
@@ -239,34 +237,6 @@ class TestCodecMessages:
 # ----------------------------------------------------------------------
 # transport channels
 # ----------------------------------------------------------------------
-class TestPipeChannel:
-    def test_round_trip_and_timeout(self):
-        a, b = multiprocessing.Pipe()
-        left, right = PipeChannel(a), PipeChannel(b)
-        left.send(b"ping")
-        assert right.recv(timeout_s=5.0) == b"ping"
-        with pytest.raises(TimeoutError):
-            right.recv(timeout_s=0.05)
-        left.close(), right.close()
-
-    def test_oversized_send_raises_and_channel_stays_usable(self):
-        a, b = multiprocessing.Pipe()
-        left, right = PipeChannel(a, max_frame_bytes=64), PipeChannel(b)
-        with pytest.raises(FrameTooLargeError):
-            left.send(b"x" * 65)
-        left.send(b"still fine")
-        assert right.recv(timeout_s=5.0) == b"still fine"
-        left.close(), right.close()
-
-    def test_oversized_receive_is_typed(self):
-        a, b = multiprocessing.Pipe()
-        left, right = PipeChannel(a), PipeChannel(b, max_frame_bytes=16)
-        left.send(b"y" * 64)  # sender's bound is larger
-        with pytest.raises(FrameTooLargeError):
-            right.recv(timeout_s=5.0)
-        left.close()
-
-
 class TestSocketChannel:
     def make_pair(self, **kwargs):
         a, b = socket.socketpair()
@@ -313,7 +283,7 @@ class TestHashRing:
     def test_ring_hash_is_frozen(self):
         # blake2b, not hash(): these values must never change, or a
         # router restart would re-place every session.  (Frozen
-        # expectations, deliberately -- same policy as shard_for.)
+        # expectations, deliberately.)
         assert ring_hash("u0") == 16292420234199882687
         assert ring_hash("tcp://worker-0:9001#0") == 7109104411570482482
 

@@ -40,10 +40,11 @@ from repro.scenario import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import DirectorySessionStore, MemorySessionStore
 
-from test_cluster_backend import spawn_fleet, stop_fleet
-from test_engine_shard import (
+from test_cluster_backend import stop_fleet
+from topology import (
     HORIZON,
     N_CELLS,
+    kill_worker,
     make_manager,
     make_trajectories,
     reference_records,
@@ -57,17 +58,17 @@ FAST_RETRY = RetryPolicy(
 )
 
 
-def make_supervisor(addresses, store, **kwargs):
+def make_supervisor(store, addresses=None, **kwargs):
+    """A heartbeat-free supervisor over ``addresses`` -- or, by default,
+    over two local workers it spawns and owns (``repro serve --shards 2``)."""
     kwargs.setdefault("retry", FAST_RETRY)
-    backend = ClusterBackend(addresses, heartbeat_interval_s=0)
+    if addresses is None:
+        backend = ClusterBackend.spawn_local(
+            make_manager, 2, heartbeat_interval_s=0
+        )
+    else:
+        backend = ClusterBackend(addresses, heartbeat_interval_s=0)
     return ClusterSupervisor(backend, store, **kwargs)
-
-
-def kill_worker(procs, addresses, victim):
-    for process, address in zip(procs, addresses):
-        if address == victim:
-            process.kill()
-            process.join(10)
 
 
 class TestRetryPolicy:
@@ -116,145 +117,132 @@ class TestRecoveryDrill:
         durable store and auto-checkpoints, one worker killed
         mid-stream.  Every stream recovers, replays, and finishes
         bit-identical to the unfaulted reference; zero sessions lost."""
-        procs, addresses = spawn_fleet(2)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
         metrics = ServiceMetrics()
-        try:
-            trajectories = make_trajectories(100, seed=47)
-            reference = reference_records(trajectories)
-            with make_supervisor(addresses, store, checkpoint_every=2) as sup:
-                sup.bind_metrics(metrics)
-                for i, name in enumerate(trajectories):
-                    assert sup.open(name, seed=1000 + i) == HORIZON
-                got = {name: [] for name in trajectories}
-                half = HORIZON // 2
-                # mixed load: batched waves for the first half...
-                for t in range(half):
-                    records, errors = sup.step_batch(
-                        {n: trajectories[n][t] for n in trajectories}
-                    )
-                    assert errors == {}
-                    for name, record in records.items():
-                        got[name].append(strip(record))
+        trajectories = make_trajectories(100, seed=47)
+        reference = reference_records(trajectories)
+        with make_supervisor(store, checkpoint_every=2) as sup:
+            sup.bind_metrics(metrics)
+            for i, name in enumerate(trajectories):
+                assert sup.open(name, seed=1000 + i) == HORIZON
+            got = {name: [] for name in trajectories}
+            half = HORIZON // 2
+            # mixed load: batched waves for the first half...
+            for t in range(half):
+                records, errors = sup.step_batch(
+                    {n: trajectories[n][t] for n in trajectories}
+                )
+                assert errors == {}
+                for name, record in records.items():
+                    got[name].append(strip(record))
 
-                victim = sup.backend.shard_stats()[0]["worker"]
-                on_victim = [
-                    n for n in trajectories
-                    if sup.backend.assignment_of(n) == victim
-                ]
-                assert on_victim  # the drill must actually cover losses
-                kill_worker(procs, addresses, victim)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            on_victim = [
+                n for n in trajectories
+                if sup.backend.assignment_of(n) == victim
+            ]
+            assert on_victim  # the drill must actually cover losses
+            kill_worker(sup, victim)
 
-                # ...solo steps for one post-kill round (each victim
-                # session trips WorkerDownError and heals in-line), then
-                # batched waves to the horizon.
-                for name in trajectories:
-                    got[name].append(
-                        strip(sup.step(name, trajectories[name][half]))
-                    )
-                for t in range(half + 1, HORIZON):
-                    records, errors = sup.step_batch(
-                        {n: trajectories[n][t] for n in trajectories}
-                    )
-                    assert errors == {}, f"dropped streams: {sorted(errors)}"
-                    for name, record in records.items():
-                        got[name].append(strip(record))
+            # ...solo steps for one post-kill round (each victim
+            # session trips WorkerDownError and heals in-line), then
+            # batched waves to the horizon.
+            for name in trajectories:
+                got[name].append(
+                    strip(sup.step(name, trajectories[name][half]))
+                )
+            for t in range(half + 1, HORIZON):
+                records, errors = sup.step_batch(
+                    {n: trajectories[n][t] for n in trajectories}
+                )
+                assert errors == {}, f"dropped streams: {sorted(errors)}"
+                for name, record in records.items():
+                    got[name].append(strip(record))
 
-                assert got == reference  # bit-identical across the kill
-                assert sup.lost_session_ids() == []
-                stats = sup.recovery_stats()
-                assert stats["sessions_recovered"] == len(on_victim)
-                assert stats["sessions_lost"] == 0
-                assert stats["workers_recovered"] >= 1
-                # checkpoint_every=2 bounds replay to < 2 steps/session
-                assert stats["steps_replayed"] < 2 * len(on_victim)
-                recovered = metrics.snapshot()["recoveries"]
-                assert recovered["worker"] >= 1
-                assert recovered["session"] == len(on_victim)
-                for name in trajectories:
-                    assert len(sup.finish(name)) == HORIZON
-                assert store.ids() == []  # finish drops auto-checkpoints
-        finally:
-            stop_fleet(procs)
+            assert got == reference  # bit-identical across the kill
+            assert sup.lost_session_ids() == []
+            stats = sup.recovery_stats()
+            assert stats["sessions_recovered"] == len(on_victim)
+            assert stats["sessions_lost"] == 0
+            assert stats["workers_recovered"] >= 1
+            # checkpoint_every=2 bounds replay to < 2 steps/session
+            assert stats["steps_replayed"] < 2 * len(on_victim)
+            recovered = metrics.snapshot()["recoveries"]
+            assert recovered["worker"] >= 1
+            assert recovered["session"] == len(on_victim)
+            for name in trajectories:
+                assert len(sup.finish(name)) == HORIZON
+            assert store.ids() == []  # finish drops auto-checkpoints
 
     def test_no_checkpoint_degrades_to_typed_loss(self):
-        procs, addresses = spawn_fleet(2)
         metrics = ServiceMetrics()
-        try:
-            with make_supervisor(
-                addresses, MemorySessionStore(), checkpoint_every=0
-            ) as sup:
-                sup.bind_metrics(metrics)
-                for i in range(12):
-                    sup.open(f"u{i}", seed=i)
-                    sup.step(f"u{i}", 3)
-                victim = sup.backend.shard_stats()[0]["worker"]
-                doomed = sorted(
-                    f"u{i}" for i in range(12)
-                    if sup.backend.assignment_of(f"u{i}") == victim
-                )
-                survivors = [
-                    f"u{i}" for i in range(12) if f"u{i}" not in doomed
-                ]
-                assert doomed and survivors
-                kill_worker(procs, addresses, victim)
+        with make_supervisor(
+            MemorySessionStore(), checkpoint_every=0
+        ) as sup:
+            sup.bind_metrics(metrics)
+            for i in range(12):
+                sup.open(f"u{i}", seed=i)
+                sup.step(f"u{i}", 3)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            doomed = sorted(
+                f"u{i}" for i in range(12)
+                if sup.backend.assignment_of(f"u{i}") == victim
+            )
+            survivors = [
+                f"u{i}" for i in range(12) if f"u{i}" not in doomed
+            ]
+            assert doomed and survivors
+            kill_worker(sup, victim)
 
-                with pytest.raises(WorkerDownError, match="no durable"):
-                    sup.step(doomed[0], 2)
-                assert sup.lost_session_ids() == doomed
-                for name in survivors:
-                    sup.step(name, 2)  # the rest keep serving
-                stats = sup.recovery_stats()
-                assert stats["sessions_lost"] == len(doomed)
-                assert stats["sessions_recovered"] == 0
-                failures = metrics.snapshot()["failures"]
-                assert failures["sessions_lost"] == len(doomed)
-                # the loss stays typed on every later touch too
-                with pytest.raises(WorkerDownError):
-                    sup.peek_budget(doomed[0])
-        finally:
-            stop_fleet(procs)
+            with pytest.raises(WorkerDownError, match="no durable"):
+                sup.step(doomed[0], 2)
+            assert sup.lost_session_ids() == doomed
+            for name in survivors:
+                sup.step(name, 2)  # the rest keep serving
+            stats = sup.recovery_stats()
+            assert stats["sessions_lost"] == len(doomed)
+            assert stats["sessions_recovered"] == 0
+            failures = metrics.snapshot()["failures"]
+            assert failures["sessions_lost"] == len(doomed)
+            # the loss stays typed on every later touch too
+            with pytest.raises(WorkerDownError):
+                sup.peek_budget(doomed[0])
 
     def test_explicit_checkpoints_bound_the_damage(self, tmp_path):
         """checkpoint_every=0 still recovers sessions with an explicit
         `checkpoint` snapshot: replay resumes from the snapshot."""
-        procs, addresses = spawn_fleet(2)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
-        try:
-            trajectories = make_trajectories(8, seed=53)
-            reference = reference_records(trajectories)
-            with make_supervisor(addresses, store, checkpoint_every=0) as sup:
-                for i, name in enumerate(trajectories):
-                    sup.open(name, seed=1000 + i)
-                got = {n: [] for n in trajectories}
-                for t in range(3):
-                    for name in trajectories:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
+        trajectories = make_trajectories(8, seed=53)
+        reference = reference_records(trajectories)
+        with make_supervisor(store, checkpoint_every=0) as sup:
+            for i, name in enumerate(trajectories):
+                sup.open(name, seed=1000 + i)
+            got = {n: [] for n in trajectories}
+            for t in range(3):
                 for name in trajectories:
-                    sup.checkpoint(name)
-                victim = sup.backend.shard_stats()[0]["worker"]
-                kill_worker(procs, addresses, victim)
-                for t in range(3, HORIZON):
-                    for name in trajectories:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
-                assert got == reference
-                assert sup.lost_session_ids() == []
-        finally:
-            stop_fleet(procs)
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            for name in trajectories:
+                sup.checkpoint(name)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            kill_worker(sup, victim)
+            for t in range(3, HORIZON):
+                for name in trajectories:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            assert got == reference
+            assert sup.lost_session_ids() == []
 
 
 class TestMembership:
     def test_join_migrates_only_moved_arcs(self):
-        procs, addresses = spawn_fleet(2)
         newcomer_proc, newcomer = spawn_local_worker(make_manager)
         try:
             trajectories = make_trajectories(32, seed=61)
             reference = reference_records(trajectories)
-            with make_supervisor(addresses, MemorySessionStore()) as sup:
+            with make_supervisor(MemorySessionStore()) as sup:
                 for i, name in enumerate(trajectories):
                     sup.open(name, seed=1000 + i)
                 before = {
@@ -288,74 +276,62 @@ class TestMembership:
                 for name in trajectories:
                     sup.finish(name)
         finally:
-            stop_fleet(procs)
             stop_fleet([newcomer_proc])
 
     def test_join_rejects_a_live_duplicate(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            with make_supervisor(addresses, MemorySessionStore()) as sup:
-                with pytest.raises(ServiceError, match="already"):
-                    sup.join_worker(addresses[0])
-        finally:
-            stop_fleet(procs)
+        with make_supervisor(MemorySessionStore()) as sup:
+            with pytest.raises(ServiceError, match="already"):
+                sup.join_worker(sup.worker_addresses()[0])
 
     def test_leave_drains_a_live_member(self):
-        procs, addresses = spawn_fleet(2)
-        try:
-            trajectories = make_trajectories(10, seed=67)
-            reference = reference_records(trajectories)
-            with make_supervisor(addresses, MemorySessionStore()) as sup:
-                for i, name in enumerate(trajectories):
-                    sup.open(name, seed=1000 + i)
-                got = {
-                    n: [strip(sup.step(n, trajectories[n][0]))]
-                    for n in trajectories
-                }
-                summary = sup.leave_worker(addresses[0])
-                assert summary["workers"] == [addresses[1]]
-                assert summary["lost"] == []
-                assert sup.backend.worker_addresses() == [addresses[1]]
-                for name in trajectories:
-                    assert sup.backend.assignment_of(name) == addresses[1]
-                    for cell in trajectories[name][1:]:
-                        got[name].append(strip(sup.step(name, cell)))
-                assert got == reference
-                with pytest.raises(ServiceError, match="the last live worker"):
-                    sup.leave_worker(addresses[1])
-        finally:
-            stop_fleet(procs)
+        trajectories = make_trajectories(10, seed=67)
+        reference = reference_records(trajectories)
+        with make_supervisor(MemorySessionStore()) as sup:
+            for i, name in enumerate(trajectories):
+                sup.open(name, seed=1000 + i)
+            got = {
+                n: [strip(sup.step(n, trajectories[n][0]))]
+                for n in trajectories
+            }
+            addresses = sup.worker_addresses()
+            summary = sup.leave_worker(addresses[0])
+            assert summary["workers"] == [addresses[1]]
+            assert summary["lost"] == []
+            assert sup.backend.worker_addresses() == [addresses[1]]
+            for name in trajectories:
+                assert sup.backend.assignment_of(name) == addresses[1]
+                for cell in trajectories[name][1:]:
+                    got[name].append(strip(sup.step(name, cell)))
+            assert got == reference
+            with pytest.raises(ServiceError, match="the last live worker"):
+                sup.leave_worker(addresses[1])
 
     def test_leave_of_a_dead_worker_rescues_checkpointed_sessions(
         self, tmp_path
     ):
-        procs, addresses = spawn_fleet(2)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
-        try:
-            with make_supervisor(addresses, store, checkpoint_every=1) as sup:
-                for i in range(12):
-                    sup.open(f"u{i}", seed=i)
-                    sup.step(f"u{i}", 3)
-                victim = sup.backend.shard_stats()[0]["worker"]
-                on_victim = [
-                    f"u{i}" for i in range(12)
-                    if sup.backend.assignment_of(f"u{i}") == victim
-                ]
-                kill_worker(procs, addresses, victim)
-                # the supervisor heals before membership forgets the
-                # dead worker's assignments: nothing is stranded
-                summary = sup.leave_worker(victim)
-                assert summary["lost"] == []
-                assert len(summary["workers"]) == 1
-                assert sup.lost_session_ids() == []
-                assert (
-                    sup.recovery_stats()["sessions_recovered"]
-                    == len(on_victim)
-                )
-                for i in range(12):
-                    sup.step(f"u{i}", 2)
-        finally:
-            stop_fleet(procs)
+        with make_supervisor(store, checkpoint_every=1) as sup:
+            for i in range(12):
+                sup.open(f"u{i}", seed=i)
+                sup.step(f"u{i}", 3)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            on_victim = [
+                f"u{i}" for i in range(12)
+                if sup.backend.assignment_of(f"u{i}") == victim
+            ]
+            kill_worker(sup, victim)
+            # the supervisor heals before membership forgets the
+            # dead worker's assignments: nothing is stranded
+            summary = sup.leave_worker(victim)
+            assert summary["lost"] == []
+            assert len(summary["workers"]) == 1
+            assert sup.lost_session_ids() == []
+            assert (
+                sup.recovery_stats()["sessions_recovered"]
+                == len(on_victim)
+            )
+            for i in range(12):
+                sup.step(f"u{i}", 2)
 
 
 def scenario_spec() -> ScenarioSpec:
@@ -378,85 +354,77 @@ class TestHeterogeneousRecovery:
         """A mixed fleet -- default-config and ScenarioSpec-bound
         sessions -- recovers both kinds: checkpoints embed the spec, so
         the surviving worker re-materializes the right models."""
-        procs, addresses = spawn_fleet(2)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
         spec = scenario_spec()
-        try:
-            trajectories = make_trajectories(12, seed=71)
-            names = list(trajectories)
-            bound = {n for i, n in enumerate(names) if i % 2}
-            manager = make_manager()
+        trajectories = make_trajectories(12, seed=71)
+        names = list(trajectories)
+        bound = {n for i, n in enumerate(names) if i % 2}
+        manager = make_manager()
+        for i, name in enumerate(names):
+            manager.open(
+                name,
+                rng=1000 + i,
+                scenario=spec if name in bound else None,
+            )
+        reference = {
+            name: [strip(manager.step(name, c)) for c in trajectory]
+            for name, trajectory in trajectories.items()
+        }
+        with make_supervisor(store, checkpoint_every=2) as sup:
             for i, name in enumerate(names):
-                manager.open(
-                    name,
-                    rng=1000 + i,
+                sup.open(
+                    name, seed=1000 + i,
                     scenario=spec if name in bound else None,
                 )
-            reference = {
-                name: [strip(manager.step(name, c)) for c in trajectory]
-                for name, trajectory in trajectories.items()
-            }
-            with make_supervisor(addresses, store, checkpoint_every=2) as sup:
-                for i, name in enumerate(names):
-                    sup.open(
-                        name, seed=1000 + i,
-                        scenario=spec if name in bound else None,
+            got = {n: [] for n in names}
+            for t in range(3):
+                for name in names:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
                     )
-                got = {n: [] for n in names}
-                for t in range(3):
-                    for name in names:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
-                victim = sup.backend.shard_stats()[0]["worker"]
-                kill_worker(procs, addresses, victim)
-                for t in range(3, HORIZON):
-                    for name in names:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
-                assert got == reference
-                assert sup.lost_session_ids() == []
-        finally:
-            stop_fleet(procs)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            kill_worker(sup, victim)
+            for t in range(3, HORIZON):
+                for name in names:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            assert got == reference
+            assert sup.lost_session_ids() == []
 
     def test_previous_schema_checkpoint_recovers(self, tmp_path):
         """A v1 checkpoint (a PR-1 build's format) sitting in the store
         still recovers a killed session."""
-        procs, addresses = spawn_fleet(2)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
-        try:
-            trajectories = make_trajectories(6, seed=73)
-            reference = reference_records(trajectories)
-            with make_supervisor(addresses, store, checkpoint_every=0) as sup:
-                for i, name in enumerate(trajectories):
-                    sup.open(name, seed=1000 + i)
-                got = {n: [] for n in trajectories}
-                for t in range(3):
-                    for name in trajectories:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
+        trajectories = make_trajectories(6, seed=73)
+        reference = reference_records(trajectories)
+        with make_supervisor(store, checkpoint_every=0) as sup:
+            for i, name in enumerate(trajectories):
+                sup.open(name, seed=1000 + i)
+            got = {n: [] for n in trajectories}
+            for t in range(3):
                 for name in trajectories:
-                    state = sup.checkpoint(name)
-                    data = state.to_json()
-                    assert data["schema"] == 2
-                    del data["schema"]
-                    del data["scenario"]
-                    store.put(
-                        SessionState.from_json(json.loads(json.dumps(data)))
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
                     )
-                victim = sup.backend.shard_stats()[0]["worker"]
-                kill_worker(procs, addresses, victim)
-                for t in range(3, HORIZON):
-                    for name in trajectories:
-                        got[name].append(
-                            strip(sup.step(name, trajectories[name][t]))
-                        )
-                assert got == reference
-                assert sup.lost_session_ids() == []
-        finally:
-            stop_fleet(procs)
+            for name in trajectories:
+                state = sup.checkpoint(name)
+                data = state.to_json()
+                assert data["schema"] == 2
+                del data["schema"]
+                del data["scenario"]
+                store.put(
+                    SessionState.from_json(json.loads(json.dumps(data)))
+                )
+            victim = sup.backend.shard_stats()[0]["worker"]
+            kill_worker(sup, victim)
+            for t in range(3, HORIZON):
+                for name in trajectories:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            assert got == reference
+            assert sup.lost_session_ids() == []
 
 
 class TestScriptedKill:
@@ -473,7 +441,9 @@ class TestScriptedKill:
         try:
             trajectories = make_trajectories(16, seed=79)
             reference = reference_records(trajectories)
-            with make_supervisor([armed, calm], store, checkpoint_every=1) as sup:
+            with make_supervisor(
+                store, addresses=[armed, calm], checkpoint_every=1
+            ) as sup:
                 for i, name in enumerate(trajectories):
                     sup.open(name, seed=1000 + i)
                 on_armed = [
@@ -504,45 +474,37 @@ class TestCachedStatus:
         answers from the last-good snapshot (flagged ``cached``) instead
         of blocking behind membership surgery -- the regression where a
         mid-recovery ``cluster_status`` hung the operator's probe."""
-        procs, addresses = spawn_fleet(2)
-        try:
-            with make_supervisor(addresses, MemorySessionStore()) as sup:
-                live = sup.cluster_status()
-                assert live["cached"] is False
-                assert len(live["workers"]) == 2
-                assert sup._recovery_lock.acquire(blocking=False)
-                try:
-                    held = sup.cluster_status()
-                finally:
-                    sup._recovery_lock.release()
-                assert held["cached"] is True
-                assert [w["worker"] for w in held["workers"]] == [
-                    w["worker"] for w in live["workers"]
-                ]
-                # recovery counters and standby rows stay live even on
-                # the cached path (they are the supervisor's own state)
-                assert held["recovery"]["sessions_lost"] == 0
-                assert held["standbys"] == []
-                # lock released: straight back to the live path
-                assert sup.cluster_status()["cached"] is False
-        finally:
-            stop_fleet(procs)
+        with make_supervisor(MemorySessionStore()) as sup:
+            live = sup.cluster_status()
+            assert live["cached"] is False
+            assert len(live["workers"]) == 2
+            assert sup._recovery_lock.acquire(blocking=False)
+            try:
+                held = sup.cluster_status()
+            finally:
+                sup._recovery_lock.release()
+            assert held["cached"] is True
+            assert [w["worker"] for w in held["workers"]] == [
+                w["worker"] for w in live["workers"]
+            ]
+            # recovery counters and standby rows stay live even on
+            # the cached path (they are the supervisor's own state)
+            assert held["recovery"]["sessions_lost"] == 0
+            assert held["standbys"] == []
+            # lock released: straight back to the live path
+            assert sup.cluster_status()["cached"] is False
 
     def test_first_status_under_the_lock_goes_live(self):
         """No snapshot cached yet: the live path is the only option, so
         it is used even mid-recovery rather than erroring."""
-        procs, addresses = spawn_fleet(2)
-        try:
-            with make_supervisor(addresses, MemorySessionStore()) as sup:
-                assert sup._recovery_lock.acquire(blocking=False)
-                try:
-                    status = sup.cluster_status()
-                finally:
-                    sup._recovery_lock.release()
-                assert status["cached"] is False
-                assert len(status["workers"]) == 2
-        finally:
-            stop_fleet(procs)
+        with make_supervisor(MemorySessionStore()) as sup:
+            assert sup._recovery_lock.acquire(blocking=False)
+            try:
+                status = sup.cluster_status()
+            finally:
+                sup._recovery_lock.release()
+            assert status["cached"] is False
+            assert len(status["workers"]) == 2
 
 
 class TestStandbys:
@@ -551,7 +513,6 @@ class TestStandbys:
         heals sessions onto the survivor *and* auto-joins the pooled
         standby in the corpse's place -- bit-identical streams, zero
         loss, one counted promotion."""
-        procs, addresses = spawn_fleet(2)
         standby_proc, standby = spawn_local_worker(make_manager)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
         metrics = ServiceMetrics()
@@ -559,7 +520,6 @@ class TestStandbys:
             trajectories = make_trajectories(24, seed=83)
             reference = reference_records(trajectories)
             with make_supervisor(
-                addresses,
                 store,
                 checkpoint_every=1,
                 standbys=[standby],
@@ -584,8 +544,10 @@ class TestStandbys:
                             strip(sup.step(name, trajectories[name][t]))
                         )
                 victim = sup.backend.shard_stats()[0]["worker"]
-                survivor = next(a for a in addresses if a != victim)
-                kill_worker(procs, addresses, victim)
+                survivor = next(
+                    a for a in sup.worker_addresses() if a != victim
+                )
+                kill_worker(sup, victim)
                 for t in range(3, HORIZON):
                     for name in trajectories:
                         got[name].append(
@@ -604,27 +566,22 @@ class TestStandbys:
                 assert stats["sessions_lost"] == 0
                 assert metrics.snapshot()["standby_promotions"] == 1
         finally:
-            stop_fleet(procs)
             stop_fleet([standby_proc])
 
     def test_without_a_standby_the_corpse_stays_visible(self):
         """An empty pool must not silently shrink the fleet: the dead
         member remains in membership, reporting the hole."""
-        procs, addresses = spawn_fleet(2)
         metrics = ServiceMetrics()
-        try:
-            with make_supervisor(
-                addresses, MemorySessionStore(), checkpoint_every=1
-            ) as sup:
-                sup.bind_metrics(metrics)
-                victim = addresses[0]
-                kill_worker(procs, addresses, victim)
-                sup._run_recoveries(wait=True)
-                assert victim in sup.backend.worker_addresses()
-                assert sup.recovery_stats()["standby_promotions"] == 0
-                assert metrics.snapshot()["standby_promotions"] == 0
-        finally:
-            stop_fleet(procs)
+        with make_supervisor(
+            MemorySessionStore(), checkpoint_every=1
+        ) as sup:
+            sup.bind_metrics(metrics)
+            victim = sup.worker_addresses()[0]
+            kill_worker(sup, victim)
+            sup._run_recoveries(wait=True)
+            assert victim in sup.backend.worker_addresses()
+            assert sup.recovery_stats()["standby_promotions"] == 0
+            assert metrics.snapshot()["standby_promotions"] == 0
 
     def test_standby_promotion_under_load(self, tmp_path):
         """The chaos drill: a worker dies while concurrent drivers are
@@ -632,7 +589,6 @@ class TestStandbys:
         and finishes bit-identical, zero sessions are lost, and the
         warm standby is holding the corpse's arcs by the time the load
         completes."""
-        procs, addresses = spawn_fleet(2)
         standby_proc, standby = spawn_local_worker(make_manager)
         store = DirectorySessionStore(str(tmp_path / "ckpt"))
         try:
@@ -640,7 +596,7 @@ class TestStandbys:
             reference = reference_records(trajectories)
             names = list(trajectories)
             with make_supervisor(
-                addresses, store, checkpoint_every=1, standbys=[standby]
+                store, checkpoint_every=1, standbys=[standby]
             ) as sup:
                 for i, name in enumerate(names):
                     sup.open(name, seed=1000 + i)
@@ -669,8 +625,10 @@ class TestStandbys:
                 started.wait(timeout=10)
                 time.sleep(0.05)  # the fleet is mid-flight
                 victim = sup.backend.shard_stats()[0]["worker"]
-                survivor = next(a for a in addresses if a != victim)
-                kill_worker(procs, addresses, victim)
+                survivor = next(
+                    a for a in sup.worker_addresses() if a != victim
+                )
+                kill_worker(sup, victim)
                 for thread in threads:
                     thread.join(timeout=120)
                 assert not any(thread.is_alive() for thread in threads)
@@ -693,7 +651,6 @@ class TestStandbys:
                 assert standby_row["alive"] is True
                 assert standby_row["ring_points"] > 0
         finally:
-            stop_fleet(procs)
             stop_fleet([standby_proc])
 
 

@@ -1,138 +1,54 @@
-"""The sharded execution backend: routing, identity, crash containment.
+"""The topology suite, backend half: identity, restore, containment.
 
-The load-bearing guarantees of :mod:`repro.engine.shard`:
+Every class runs against the ``local`` topology -- the worker fleet
+``repro serve --shards N`` builds -- and its subclasses rerun it
+``inprocess`` and over ``tcp`` (see :mod:`topology`).  Guarantees:
 
-* session->shard routing is a *stable* hash -- identical across
-  processes, runs and machines, never salted;
-* a :class:`ShardPool` produces release streams bit-identical to a
-  single in-process :class:`SessionManager` under the same seeds, for
-  solo steps and for batched waves alike;
-* one worker's death surfaces as typed ``ShardDownError`` for exactly
-  its sessions while the other shards keep serving;
-* checkpoints round-trip through the owning shard and restore correctly
-  into a pool with a *different* shard count (routing re-derives from
-  the id alone).
+* release streams are bit-identical to a single in-process
+  :class:`SessionManager` under the same seeds, for solo steps and for
+  batched waves alike, whatever the topology;
+* checkpoints round-trip through the owning worker and restore into a
+  fleet of a *different* size -- or in-process -- bit-identically;
+* one worker's death surfaces as typed ``ShardDownError`` (its
+  ``WorkerDownError`` subclass) for exactly its sessions while the
+  other workers keep serving, and a hung worker does the same at the
+  RPC deadline;
+* a factory that fails in a worker fails the spawn, leaving no worker
+  process behind.
 """
 
-import numpy as np
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
-from repro.engine import (
-    InProcessBackend,
-    SessionBuilder,
-    SessionManager,
-    ShardPool,
-    shard_for,
+from repro.engine.backend import InProcessBackend, as_backend
+from repro.errors import ServiceError, SessionError, ShardDownError, WorkerDownError
+
+from topology import (
+    HORIZON,
+    N_CELLS,
+    kill_worker,
+    make_manager,
+    make_trajectories,
+    open_backend,
+    reference_records,
+    sessions_by_worker,
+    strip,
 )
-from repro.engine.backend import as_backend
-from repro.errors import ServiceError, SessionError, ShardDownError
-from repro.events.events import PresenceEvent
-from repro.geo.grid import GridMap
-from repro.geo.regions import Region
-from repro.lppm.planar_laplace import PlanarLaplaceMechanism
-from repro.markov.simulate import sample_trajectory
-from repro.markov.synthetic import gaussian_kernel_transitions
-
-HORIZON = 6
-N_CELLS = 16
-
-
-def make_builder() -> SessionBuilder:
-    grid = GridMap(4, 4, cell_size_km=1.0)
-    chain = gaussian_kernel_transitions(grid, sigma=1.0)
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    return (
-        SessionBuilder()
-        .with_grid(grid)
-        .with_chain(chain)
-        .protecting(PresenceEvent(Region.from_range(N_CELLS, 0, 5), start=2, end=4))
-        .with_mechanism(PlanarLaplaceMechanism(grid, 0.5))
-        .with_epsilon(0.5)
-        .with_fixed_prior(initial)
-        .with_horizon(HORIZON)
-    )
-
-
-def make_manager() -> SessionManager:
-    return SessionManager(make_builder())
-
-
-def make_trajectories(n_sessions: int, seed: int = 7) -> dict[str, list[int]]:
-    chain = make_builder().build_config().chain
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    rng = np.random.default_rng(seed)
-    return {
-        f"u{i}": [
-            int(c)
-            for c in sample_trajectory(chain, HORIZON, initial=initial, rng=rng)
-        ]
-        for i in range(n_sessions)
-    }
-
-
-def reference_records(trajectories: dict[str, list[int]]) -> dict[str, list[tuple]]:
-    """The same streams driven on one in-process manager."""
-    manager = make_manager()
-    for i, name in enumerate(trajectories):
-        manager.open(name, rng=1000 + i)
-    out = {
-        name: [strip(manager.step(name, cell)) for cell in trajectory]
-        for name, trajectory in trajectories.items()
-    }
-    manager.finish_all()
-    return out
-
-
-def strip(record) -> tuple:
-    """A release record minus wall-clock (identical math, not time)."""
-    return (
-        record.t,
-        record.true_cell,
-        record.released_cell,
-        record.budget,
-        record.n_attempts,
-        record.conservative,
-        record.forced_uniform,
-    )
 
 
 @pytest.fixture
-def pool():
-    with ShardPool(make_manager, 2) as pool:
-        yield pool
-
-
-class TestRouting:
-    def test_shard_for_is_stable_across_calls_and_processes(self):
-        # blake2b, not hash(): these values must never change, or
-        # checkpoints taken by one server version would re-route under
-        # the next.  (Frozen expectations, deliberately.)
-        assert [shard_for(f"u{i}", 4) for i in range(6)] == [3, 2, 2, 3, 2, 0]
-        assert shard_for("session-with-a-long-id", 7) == shard_for(
-            "session-with-a-long-id", 7
-        )
-
-    def test_shard_for_spreads_sessions(self):
-        counts = [0] * 4
-        for i in range(1000):
-            counts[shard_for(f"user-{i}", 4)] += 1
-        assert min(counts) > 150  # roughly uniform, no starved shard
-
-    def test_shard_for_rejects_bad_count(self):
-        with pytest.raises(ServiceError):
-            shard_for("u1", 0)
-
-    def test_pool_routes_where_shard_for_says(self, pool):
-        for i in range(8):
-            pool.open(f"u{i}", seed=i)
-        rows = pool.shard_stats()
-        expected = [0, 0]
-        for i in range(8):
-            expected[shard_for(f"u{i}", 2)] += 1
-        assert [row["sessions"] for row in rows] == expected
+def pool(request):
+    with open_backend(request.cls.topology) as backend:
+        yield backend
 
 
 class TestBitIdentity:
+    topology = "local"
+
     def test_solo_steps_match_in_process_manager(self, pool):
         trajectories = make_trajectories(6)
         reference = reference_records(trajectories)
@@ -183,14 +99,24 @@ class TestBitIdentity:
         assert isinstance(errors["ghost"], SessionError)
 
 
+class TestBitIdentityInProcess(TestBitIdentity):
+    topology = "inprocess"
+
+
+class TestBitIdentityTcp(TestBitIdentity):
+    topology = "tcp"
+
+
 class TestCheckpointRestore:
-    @pytest.mark.parametrize("restore_shards", [1, 3])
+    topology = "local"
+
+    @pytest.mark.parametrize("restore_shards", [1, 3, 0])
     def test_restore_into_different_shard_count(self, restore_shards):
-        """Suspend under 2 shards, resume under N != 2, bit-identical."""
+        """Suspend under 2 workers, resume under 1, 3 or in-process."""
         trajectories = make_trajectories(5)
         reference = reference_records(trajectories)
         split = HORIZON // 2
-        with ShardPool(make_manager, 2) as first:
+        with open_backend(self.topology, 2) as first:
             for i, name in enumerate(trajectories):
                 first.open(name, seed=1000 + i)
             streams = {
@@ -201,7 +127,8 @@ class TestCheckpointRestore:
             assert lost == []
             assert sorted(s.session_id for s in states) == sorted(trajectories)
             assert first.resident_count() == 0
-        with ShardPool(make_manager, restore_shards) as second:
+        second_topology = self.topology if restore_shards else "inprocess"
+        with open_backend(second_topology, restore_shards) as second:
             for state in states:
                 assert second.resume(state) == state.session_id
             for name, trajectory in trajectories.items():
@@ -210,30 +137,35 @@ class TestCheckpointRestore:
                 )
         assert streams == reference
 
-    def test_checkpoint_roundtrips_through_owning_shard(self, pool):
-        pool.open("u0", seed=5)
-        pool.step("u0", 3)
-        state = pool.checkpoint("u0")
-        assert state.session_id == "u0"
-        assert state.committed_t == 1
-        assert pool.contains("u0")  # checkpoint does not evict
-        # a suspend does evict, and the state resumes elsewhere
-        state = pool.suspend("u0")
-        assert not pool.contains("u0")
+    def test_checkpoint_roundtrips_through_owning_shard(self):
+        with open_backend(self.topology) as pool:
+            pool.open("u0", seed=5)
+            pool.step("u0", 3)
+            state = pool.checkpoint("u0")
+            assert state.session_id == "u0"
+            assert state.committed_t == 1
+            assert pool.contains("u0")  # checkpoint does not evict
+            # a suspend does evict, and the state resumes elsewhere
+            state = pool.suspend("u0")
+            assert not pool.contains("u0")
         manager = make_manager()
         manager.resume(state)
         manager.step("u0", 4)  # continues without error
 
 
+class TestCheckpointRestoreTcp(TestCheckpointRestore):
+    topology = "tcp"
+
+
 class TestCrashContainment:
+    topology = "local"
+
     def test_dead_shard_raises_typed_error_others_serve(self, pool):
-        # Find two sessions on different shards.
-        on_zero = next(f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 0)
-        on_one = next(f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 1)
+        (on_zero,), (on_one,) = sessions_by_worker(pool)
         pool.open(on_zero, seed=1)
         pool.open(on_one, seed=2)
-        pool._handles[0]._process.kill()
-        pool._handles[0]._process.join(10)
+        dead, alive = pool.worker_addresses()
+        kill_worker(pool, dead)
 
         with pytest.raises(ShardDownError):
             pool.step(on_zero, 3)
@@ -241,51 +173,79 @@ class TestCrashContainment:
         with pytest.raises(ShardDownError):
             pool.peek_budget(on_zero)
         assert pool.lost_session_ids() == [on_zero]
-        # the surviving shard is unaffected
+        # the surviving worker is unaffected
         record = pool.step(on_one, 3)
         assert record.t == 1
 
-        rows = pool.shard_stats()
-        assert rows[0]["alive"] is False
-        assert rows[0]["lost_sessions"] == 1
-        assert rows[1]["alive"] is True
+        rows = {row["worker"]: row for row in pool.shard_stats()}
+        assert rows[dead]["alive"] is False
+        assert rows[dead]["lost_sessions"] == 1
+        assert rows[alive]["alive"] is True
 
     def test_batch_with_dead_shard_fails_only_its_members(self, pool):
-        members = {}
-        for i in range(100):
-            sid = f"s{i}"
-            members.setdefault(shard_for(sid, 2), []).append(sid)
-            if all(len(v) >= 2 for v in members.values()) and len(members) == 2:
-                break
+        members = sessions_by_worker(pool, n_per_worker=2)
         cells = {}
-        for shard, sids in members.items():
-            for sid in sids[:2]:
-                pool.open(sid, seed=hash(sid) % 1000)
+        for sids in members:
+            for sid in sids:
+                pool.open(sid, seed=int(sid[1:]))
                 cells[sid] = 3
-        pool._handles[1]._process.kill()
-        pool._handles[1]._process.join(10)
+        kill_worker(pool, pool.worker_addresses()[1])
         records, errors = pool.step_batch(cells)
-        assert set(records) == set(members[0][:2])
-        assert set(errors) == set(members[1][:2])
+        assert set(records) == set(members[0])
+        assert set(errors) == set(members[1])
         assert all(isinstance(e, ShardDownError) for e in errors.values())
 
     def test_suspend_all_reports_lost_sessions(self, pool):
-        on_zero = next(f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 0)
-        on_one = next(f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 1)
+        (on_zero,), (on_one,) = sessions_by_worker(pool)
         pool.open(on_zero, seed=1)
         pool.open(on_one, seed=2)
-        pool._handles[1]._process.kill()
-        pool._handles[1]._process.join(10)
+        kill_worker(pool, pool.worker_addresses()[1])
         states, lost = pool.suspend_all()
         assert [s.session_id for s in states] == [on_zero]
         assert lost == [on_one]
+
+    def test_hung_worker_is_typed_down_at_the_deadline(self):
+        """A frozen worker ends its caller's RPC in typed ``WorkerDownError``
+        at the deadline -- never a caller blocked forever."""
+        with open_backend(self.topology, rpc_timeout_s=1.0) as pool:
+            (stuck,), _ = sessions_by_worker(pool)
+            pool.open(stuck, seed=1)
+            pid = pool.cluster_status()["workers"][0]["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                with pytest.raises(WorkerDownError, match="hung worker"):
+                    pool.step(stuck, 3)
+                assert time.monotonic() - started < 10.0
+            finally:
+                os.kill(pid, signal.SIGCONT)
 
     def test_factory_failure_surfaces_at_spawn(self):
         def bad_factory():
             raise ValueError("no engine for you")
 
-        with pytest.raises(ValueError, match="no engine for you"):
-            ShardPool(bad_factory, 2)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ServiceError, match="no engine for you"):
+            with open_backend(self.topology, factory=bad_factory):
+                pass
+        assert set(multiprocessing.active_children()) <= before
+
+
+    def test_close_stops_only_the_workers_it_spawned(self):
+        with open_backend(self.topology) as pool:
+            pids = {row["pid"] for row in pool.cluster_status()["workers"]}
+            pool.close()
+            running = {p.pid for p in multiprocessing.active_children()}
+        # spawn_local owns its workers; dialled ones belong to whoever
+        # started them
+        if self.topology == "tcp":
+            assert pids <= running
+        else:
+            assert not pids & running
+
+
+class TestCrashContainmentTcp(TestCrashContainment):
+    topology = "tcp"
 
 
 class TestBackendAdapter:

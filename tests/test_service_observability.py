@@ -8,7 +8,7 @@ One server process wearing its full observability rig:
 * ``/metrics`` exposes the Prometheus families for the server, the
   per-worker split, and the latency histograms;
 * ``/healthz`` answers while serving and ``/readyz`` flips to 503 the
-  moment a shard process dies -- from local state only, no RPCs;
+  moment a worker process dies -- from local state only, no RPCs;
 * a server built with ``trace=False`` records nothing.
 
 All HTTP fetches run in the default executor: a blocking ``urlopen`` on
@@ -19,22 +19,16 @@ import asyncio
 import urllib.error
 import urllib.request
 
-import numpy as np
-import pytest
-
-from repro.engine import SessionBuilder, SessionManager, ShardPool
-from repro.events.events import PresenceEvent
-from repro.geo.grid import GridMap
-from repro.geo.regions import Region
-from repro.lppm.planar_laplace import PlanarLaplaceMechanism
+from repro.cluster import ClusterBackend, ClusterSupervisor
+from repro.engine import SessionManager
 from repro.service import (
     AsyncServiceClient,
+    MemorySessionStore,
     ReleaseServer,
     ServerConfig,
 )
 
-HORIZON = 6
-N_CELLS = 16
+from topology import kill_worker, make_builder, make_manager
 
 #: Families the CI smoke greps for; keep in sync with .github/workflows.
 REQUIRED_FAMILIES = (
@@ -54,26 +48,11 @@ REQUIRED_FAMILIES = (
 )
 
 
-def make_builder() -> SessionBuilder:
-    grid = GridMap(4, 4, cell_size_km=1.0)
-    from repro.markov.synthetic import gaussian_kernel_transitions
-
-    chain = gaussian_kernel_transitions(grid, sigma=1.0)
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    return (
-        SessionBuilder()
-        .with_grid(grid)
-        .with_chain(chain)
-        .protecting(PresenceEvent(Region.from_range(N_CELLS, 0, 5), start=2, end=4))
-        .with_mechanism(PlanarLaplaceMechanism(grid, 0.5))
-        .with_epsilon(0.5)
-        .with_fixed_prior(initial)
-        .with_horizon(HORIZON)
-    )
-
-
-def make_manager() -> SessionManager:
-    return SessionManager(make_builder())
+def sharded_server(**config) -> ReleaseServer:
+    """A ``repro serve --shards 2`` server: two local workers, supervised."""
+    store = MemorySessionStore()
+    engine = ClusterSupervisor(ClusterBackend.spawn_local(make_manager, 2), store)
+    return ReleaseServer(engine, store=store, config=ServerConfig(**config))
 
 
 def _fetch(port, path):
@@ -144,9 +123,7 @@ class TestTracedSpansViaStats:
 
     def test_sharded_step_trace_includes_rpc_and_worker_solve(self):
         async def main():
-            server = ReleaseServer(
-                ShardPool(make_manager, 2), config=ServerConfig(metrics_port=0)
-            )
+            server = sharded_server(metrics_port=0)
             await server.start()
             try:
                 stats = await _drive(server)
@@ -162,9 +139,9 @@ class TestTracedSpansViaStats:
                 chain = step_traces[-1]
                 names = {span["name"] for span in chain}
                 assert {"queue_wait", "rpc", "serialize", "request"} <= names
-                # the rpc span names the shard that solved the step
+                # the rpc span names the worker that solved the step
                 rpc = next(s for s in chain if s["name"] == "rpc")
-                assert rpc["shard"] in (0, 1)
+                assert rpc["worker"] in server._backend.worker_addresses()
             finally:
                 await server.drain()
 
@@ -226,9 +203,7 @@ class TestTracedSpansViaStats:
 class TestExpositionAndProbes:
     def test_metrics_families_and_probes(self):
         async def main():
-            server = ReleaseServer(
-                ShardPool(make_manager, 2), config=ServerConfig(metrics_port=0)
-            )
+            server = sharded_server(metrics_port=0)
             await server.start()
             try:
                 assert server.metrics_port not in (None, 0)
@@ -242,9 +217,10 @@ class TestExpositionAndProbes:
                 assert status == 200
                 for family in REQUIRED_FAMILIES:
                     assert family in text, f"missing family {family}"
-                # per-worker split rendered from handle-local state
-                assert 'repro_worker_up{worker="shard-0"} 1' in text
-                assert 'repro_worker_up{worker="shard-1"} 1' in text
+                # per-worker split rendered from handle-local state,
+                # labelled by worker address
+                for address in server._backend.worker_addresses():
+                    assert f'repro_worker_up{{worker="{address}"}} 1' in text
                 assert "repro_worker_rpc_latency_seconds_bucket" in text
                 assert 'repro_requests_total{op="step"} 3' in text
                 # loss counters present at zero before anything dies
@@ -290,22 +266,21 @@ class TestExpositionAndProbes:
 
     def test_readyz_flips_when_a_shard_dies(self):
         async def main():
-            pool = ShardPool(make_manager, 2)
-            server = ReleaseServer(pool, config=ServerConfig(metrics_port=0))
+            server = sharded_server(metrics_port=0)
             await server.start()
             try:
                 await _drive(server, n_steps=1)
                 status, _ = await _get(server.metrics_port, "/readyz")
                 assert status == 200
-                pool._handles[0]._process.kill()
-                pool._handles[0]._process.join(10)
+                dead, alive = server._backend.worker_addresses()
+                kill_worker(server._backend, dead)
                 status, body = await _get(server.metrics_port, "/readyz")
                 assert status == 503
-                assert "shard-0" in body
+                assert dead in body
                 status, text = await _get(server.metrics_port, "/metrics")
                 assert status == 200
-                assert 'repro_worker_up{worker="shard-0"} 0' in text
-                assert 'repro_worker_up{worker="shard-1"} 1' in text
+                assert f'repro_worker_up{{worker="{dead}"}} 0' in text
+                assert f'repro_worker_up{{worker="{alive}"}} 1' in text
             finally:
                 await server.drain()
 

@@ -3,9 +3,9 @@
 The acceptance bar of the scenario layer: a single ``repro serve``
 process concurrently drives sessions from distinct ScenarioSpecs --
 different grids and mechanisms -- with release streams bit-identical to
-dedicated single-scenario servers, at shard counts 0 and 2; checkpoints
-carry the spec, so mixed fleets survive eviction churn and a drain →
-restart under a *different* shard count; the ``stats`` op reports
+dedicated single-scenario servers, in-process and over 2 local workers
+(``--shards 2``); checkpoints carry the spec, so mixed fleets survive
+eviction churn and a drain → restart under a *different* worker count; the ``stats`` op reports
 per-scenario counters; the allowlist rejects unlisted specs with the
 typed ``scenario`` wire code.
 """
@@ -15,7 +15,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.engine import SessionManager, ShardPool
+from repro.cluster import ClusterBackend, ClusterSupervisor
+from repro.engine import SessionManager
 from repro.errors import ScenarioError
 from repro.markov.simulate import sample_trajectory
 from repro.scenario import (
@@ -104,10 +105,12 @@ def direct_records(spec: ScenarioSpec, trajectories) -> dict[str, list[dict]]:
     }
 
 
-def make_engine(shards: int):
+def make_engine(shards: int, store):
+    """What ``repro serve --shards N`` builds (in-process at 0)."""
     if shards == 0:
         return SessionManager(DEFAULT_SPEC)
-    return ShardPool(lambda: SessionManager(DEFAULT_SPEC), shards)
+    backend = ClusterBackend.spawn_local(lambda: SessionManager(DEFAULT_SPEC), shards)
+    return ClusterSupervisor(backend, store)
 
 
 async def serve_dedicated(spec: ScenarioSpec, trajectories) -> dict[str, list[dict]]:
@@ -137,7 +140,8 @@ async def serve_mixed(
     **overrides,
 ):
     """Drive a mixed-tenant fleet through one server; return the streams."""
-    engine = make_engine(shards)
+    store = store if store is not None else MemorySessionStore()
+    engine = make_engine(shards, store)
     server = ReleaseServer(
         engine,
         store=store,

@@ -15,17 +15,10 @@ import asyncio
 import json
 import threading
 
-import numpy as np
 import pytest
 
-from repro.engine import SessionBuilder, SessionManager
+from repro.engine import SessionManager
 from repro.errors import ServiceBusyError, SessionError
-from repro.events.events import PresenceEvent
-from repro.geo.grid import GridMap
-from repro.geo.regions import Region
-from repro.lppm.planar_laplace import PlanarLaplaceMechanism
-from repro.markov.simulate import sample_trajectory
-from repro.markov.synthetic import gaussian_kernel_transitions
 from repro.service import (
     AsyncServiceClient,
     DirectorySessionStore,
@@ -36,50 +29,13 @@ from repro.service import (
     SQLiteSessionStore,
 )
 
-HORIZON = 6
-N_CELLS = 16
-
-
-def make_builder() -> SessionBuilder:
-    grid = GridMap(4, 4, cell_size_km=1.0)
-    chain = gaussian_kernel_transitions(grid, sigma=1.0)
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    return (
-        SessionBuilder()
-        .with_grid(grid)
-        .with_chain(chain)
-        .protecting(PresenceEvent(Region.from_range(N_CELLS, 0, 5), start=2, end=4))
-        .with_mechanism(PlanarLaplaceMechanism(grid, 0.5))
-        .with_epsilon(0.5)
-        .with_fixed_prior(initial)
-        .with_horizon(HORIZON)
-    )
-
-
-def make_trajectories(n_sessions: int, seed: int = 7) -> dict[str, list[int]]:
-    chain = make_builder().build_config().chain
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    rng = np.random.default_rng(seed)
-    return {
-        f"u{i}": [
-            int(c)
-            for c in sample_trajectory(chain, HORIZON, initial=initial, rng=rng)
-        ]
-        for i in range(n_sessions)
-    }
-
-
-def direct_records(trajectories: dict[str, list[int]]) -> dict[str, list[dict]]:
-    """The reference: the same streams driven straight on a manager."""
-    manager = SessionManager(make_builder())
-    for i, name in enumerate(trajectories):
-        manager.open(name, rng=1000 + i)
-    out = {
-        name: [manager.step(name, cell).to_json() for cell in trajectory]
-        for name, trajectory in trajectories.items()
-    }
-    manager.finish_all()
-    return out
+from topology import (  # noqa: F401 - test_service_shedding imports these
+    HORIZON,
+    direct_records,
+    make_builder,
+    make_trajectories,
+    strip_elapsed,
+)
 
 
 def make_store(kind: str, tmp_path):
@@ -95,11 +51,6 @@ async def start_server(store=None, **overrides) -> ReleaseServer:
     server = ReleaseServer(SessionManager(make_builder()), store=store, config=config)
     await server.start()
     return server
-
-
-def strip_elapsed(record: dict) -> dict:
-    """Release records minus wall-clock (identical math, not identical time)."""
-    return {k: v for k, v in record.items() if k != "elapsed_s"}
 
 
 class TestEndToEndEquivalence:

@@ -1,35 +1,32 @@
-"""The sharded serving path end to end over localhost TCP.
+"""The topology suite, served half: ``repro serve`` over every topology.
 
-``repro serve --shards N`` swaps the in-process backend for a
-:class:`~repro.engine.shard.ShardPool`; everything a client can observe
-must stay invariant:
+``repro serve --shards N`` runs N local ``repro worker`` processes under
+a :class:`~repro.cluster.ClusterSupervisor` -- the same stack
+``--backend`` builds over remote workers.  Everything a client can
+observe must stay invariant across the in-process, ``local`` and
+``tcp`` topologies (see :mod:`topology`):
 
-* served release streams are bit-identical to the in-process server and
-  to driving a ``SessionManager`` directly -- unbatched and with a
-  micro-batching window, across eviction/restore churn;
-* a graceful drain checkpoints every session *through its owning shard*
-  into the store, and a restarted server with a different shard count
-  (or none) adopts and continues the streams exactly;
-* the ``stats`` op reports per-shard counters plus their aggregate and
-  the worker/shard split;
-* a dead shard answers with the typed ``shard_down`` error code for its
-  sessions only.
+* served release streams are bit-identical to driving a
+  ``SessionManager`` directly -- unbatched and with a micro-batching
+  window, across eviction/restore churn;
+* a graceful drain checkpoints every session *through its owning
+  worker* into the store, and a restarted server with a different worker
+  count (or none) adopts and continues the streams exactly;
+* the ``stats`` op reports per-worker counters plus their aggregate and
+  the thread/worker split, in the wire shape (``shards.per_shard``)
+  clients already parse;
+* a dead worker answers with the typed ``worker_down`` error code (a
+  ``shard_down`` subclass) for its sessions only.
 """
 
 import asyncio
+import contextlib
 import os
 
-import numpy as np
 import pytest
 
-from repro.engine import SessionBuilder, SessionManager, ShardPool, shard_for
-from repro.errors import ShardDownError
-from repro.events.events import PresenceEvent
-from repro.geo.grid import GridMap
-from repro.geo.regions import Region
-from repro.lppm.planar_laplace import PlanarLaplaceMechanism
-from repro.markov.simulate import sample_trajectory
-from repro.markov.synthetic import gaussian_kernel_transitions
+from repro.cluster.control import ClusterSupervisor
+from repro.errors import ServiceError, ShardDownError
 from repro.service import (
     AsyncServiceClient,
     MemorySessionStore,
@@ -38,126 +35,99 @@ from repro.service import (
     default_workers,
 )
 
-HORIZON = 6
-N_CELLS = 16
+from topology import (
+    HORIZON,
+    N_CELLS,
+    TOPOLOGIES,
+    direct_records,
+    kill_worker,
+    make_manager,
+    make_trajectories,
+    open_backend,
+    sessions_by_worker,
+    strip_elapsed,
+)
 
 
-def make_builder() -> SessionBuilder:
-    grid = GridMap(4, 4, cell_size_km=1.0)
-    chain = gaussian_kernel_transitions(grid, sigma=1.0)
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    return (
-        SessionBuilder()
-        .with_grid(grid)
-        .with_chain(chain)
-        .protecting(PresenceEvent(Region.from_range(N_CELLS, 0, 5), start=2, end=4))
-        .with_mechanism(PlanarLaplaceMechanism(grid, 0.5))
-        .with_epsilon(0.5)
-        .with_fixed_prior(initial)
-        .with_horizon(HORIZON)
-    )
-
-
-def make_manager() -> SessionManager:
-    return SessionManager(make_builder())
-
-
-def make_trajectories(n_sessions: int, seed: int = 7) -> dict[str, list[int]]:
-    chain = make_builder().build_config().chain
-    initial = np.full(N_CELLS, 1.0 / N_CELLS)
-    rng = np.random.default_rng(seed)
-    return {
-        f"u{i}": [
-            int(c)
-            for c in sample_trajectory(chain, HORIZON, initial=initial, rng=rng)
-        ]
-        for i in range(n_sessions)
-    }
-
-
-def direct_records(trajectories: dict[str, list[int]]) -> dict[str, list[dict]]:
-    manager = make_manager()
-    for i, name in enumerate(trajectories):
-        manager.open(name, rng=1000 + i)
-    out = {
-        name: [
-            strip_elapsed(manager.step(name, cell).to_json())
-            for cell in trajectory
-        ]
-        for name, trajectory in trajectories.items()
-    }
-    manager.finish_all()
-    return out
-
-
-def strip_elapsed(record: dict) -> dict:
-    return {k: v for k, v in record.items() if k != "elapsed_s"}
-
-
-def make_engine(shards: int):
+@contextlib.contextmanager
+def serving_engine(shards: int, store, topology: str = "local"):
+    """The engine ``repro serve`` builds: in-process at 0 workers, else a
+    supervisor over ``shards`` workers sharing the server's store."""
     if shards == 0:
-        return make_manager()
-    return ShardPool(make_manager, shards)
+        yield make_manager()
+        return
+    with open_backend(topology, shards) as backend:
+        yield ClusterSupervisor(backend, store)
 
 
 async def serve_trajectories(
-    trajectories, shards: int, store=None, finish: bool = True, **overrides
+    trajectories,
+    topology: str = "local",
+    store=None,
+    finish: bool = True,
+    steps: range = range(HORIZON),
+    n_workers: int = 2,
+    **overrides,
 ):
-    """Drive every trajectory through a fresh server; return the streams."""
-    engine = make_engine(shards)
-    server = ReleaseServer(engine, store=store, config=ServerConfig(**overrides))
-    await server.start()
-    streams = {name: [] for name in trajectories}
-    client = await AsyncServiceClient.connect("127.0.0.1", server.port)
-    for i, name in enumerate(trajectories):
-        await client.open(name, seed=1000 + i)
-    for t in range(HORIZON):
-        records = await asyncio.gather(
-            *[
-                client.step(name, trajectory[t])
-                for name, trajectory in trajectories.items()
-            ]
+    """Drive ``steps`` of every trajectory through a fresh server.
+
+    Sessions are opened when ``steps`` starts at 0 (otherwise they are
+    adopted from ``store``).  Returns ``(streams, stats, drain summary)``.
+    """
+    store = store if store is not None else MemorySessionStore()
+    shards = 0 if topology == "inprocess" else n_workers
+    with serving_engine(shards, store, topology) as engine:
+        server = ReleaseServer(
+            engine, store=store, config=ServerConfig(**overrides)
         )
-        for name, record in zip(trajectories, records):
-            streams[name].append(strip_elapsed(record))
-    stats = await client.stats()
-    if finish:
-        for name in trajectories:
-            await client.finish(name)
-    await client.close()
-    await server.drain()
-    return streams, stats
+        await server.start()
+        streams = {name: [] for name in trajectories}
+        client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+        if steps.start == 0:
+            for i, name in enumerate(trajectories):
+                await client.open(name, seed=1000 + i)
+        for t in steps:
+            records = await asyncio.gather(
+                *[
+                    client.step(name, trajectory[t])
+                    for name, trajectory in trajectories.items()
+                ]
+            )
+            for name, record in zip(trajectories, records):
+                streams[name].append(strip_elapsed(record))
+        stats = await client.stats()
+        if finish:
+            for name in trajectories:
+                await client.finish(name)
+        await client.close()
+        summary = await server.drain()
+    return streams, stats, summary
 
 
 class TestShardedStreamsBitIdentical:
     def test_sharded_serve_matches_in_process_and_direct(self):
         trajectories = make_trajectories(8)
         reference = direct_records(trajectories)
-        sharded, _ = asyncio.run(serve_trajectories(trajectories, shards=2))
-        in_process, _ = asyncio.run(serve_trajectories(trajectories, shards=0))
-        assert sharded == reference
-        assert in_process == reference
+        for topology in TOPOLOGIES:
+            served, _, _ = asyncio.run(serve_trajectories(trajectories, topology))
+            assert served == reference, topology
 
     def test_sharded_batched_serve_matches_direct(self):
         trajectories = make_trajectories(8)
         reference = direct_records(trajectories)
-        batched, stats = asyncio.run(
-            serve_trajectories(trajectories, shards=2, batch_window_ms=5.0)
-        )
-        assert batched == reference
-        assert stats["batching"]["steps"] == 8 * HORIZON
-        assert stats["batching"]["max_batch"] >= 2
+        for topology in ("local", "tcp"):
+            batched, stats, _ = asyncio.run(
+                serve_trajectories(trajectories, topology, batch_window_ms=5.0)
+            )
+            assert batched == reference, topology
+            assert stats["batching"]["steps"] == 8 * HORIZON
+            assert stats["batching"]["max_batch"] >= 2
 
     def test_sharded_serve_with_eviction_churn_matches_direct(self):
         trajectories = make_trajectories(6)
         reference = direct_records(trajectories)
-        churned, stats = asyncio.run(
-            serve_trajectories(
-                trajectories,
-                shards=2,
-                store=MemorySessionStore(),
-                max_resident=2,
-            )
+        churned, stats, _ = asyncio.run(
+            serve_trajectories(trajectories, "local", max_resident=2)
         )
         assert churned == reference
         assert stats["sessions"]["evicted"] > 0
@@ -167,20 +137,21 @@ class TestShardedStreamsBitIdentical:
 class TestShardedStats:
     def test_stats_report_per_shard_counters_and_worker_split(self):
         trajectories = make_trajectories(6)
-        _, stats = asyncio.run(serve_trajectories(trajectories, shards=2))
+        _, stats, _ = asyncio.run(serve_trajectories(trajectories))
 
         assert stats["server"]["shards"] == 2
         assert stats["server"]["workers"] == default_workers(shards=2)
         shards = stats["shards"]
         assert shards["count"] == 2 and shards["alive"] == 2
         assert len(shards["per_shard"]) == 2
-        expected = [0, 0]
-        for name in trajectories:
-            expected[shard_for(name, 2)] += 1
-        for row, n_sessions in zip(shards["per_shard"], expected):
+        assert sum(row["sessions"] for row in shards["per_shard"]) == len(
+            trajectories
+        )
+        for row in shards["per_shard"]:
             assert row["alive"] is True
-            assert row["sessions"] == n_sessions
-            assert row["metrics"]["requests"].get("step", 0) == n_sessions * HORIZON
+            assert row["worker"].startswith("tcp://127.0.0.1:")
+            steps = row["metrics"]["requests"].get("step", 0)
+            assert steps == row["sessions"] * HORIZON
             assert row["verdict_cache"] is not None
         aggregate = shards["aggregate"]
         assert aggregate["requests"]["step"] == len(trajectories) * HORIZON
@@ -188,7 +159,7 @@ class TestShardedStats:
 
     def test_in_process_stats_have_no_shard_section(self):
         trajectories = make_trajectories(2)
-        _, stats = asyncio.run(serve_trajectories(trajectories, shards=0))
+        _, stats, _ = asyncio.run(serve_trajectories(trajectories, "inprocess"))
         assert stats["shards"] is None
         assert stats["server"]["shards"] == 0
 
@@ -197,7 +168,7 @@ class TestShardedStats:
         assert default_workers() == min(32, cores)
         for shards in (2, 4, 8):
             workers = default_workers(shards=shards)
-            # the parent pool shrinks with the shard count instead of
+            # the parent pool shrinks with the worker count instead of
             # multiplying it, and never collapses below two slots
             assert workers == min(32, max(2, cores // shards))
             assert workers <= max(2, default_workers())
@@ -206,102 +177,73 @@ class TestShardedStats:
 class TestShardedDrainRestart:
     @pytest.mark.parametrize("restart_shards", [0, 3])
     def test_drain_then_restart_under_other_shard_count(self, restart_shards):
-        """2-shard drain -> store -> restart with N != 2, bit-identical."""
+        """2-worker drain -> store -> restart with N != 2, bit-identical."""
         trajectories = make_trajectories(5)
-        reference = direct_records(trajectories)
         split = HORIZON // 2
         store = MemorySessionStore()
-
-        async def first_half():
-            server = ReleaseServer(
-                make_engine(2), store=store, config=ServerConfig()
+        first, _, summary = asyncio.run(
+            serve_trajectories(
+                trajectories, store=store, finish=False, steps=range(split)
             )
-            await server.start()
-            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
-            streams = {name: [] for name in trajectories}
-            for i, name in enumerate(trajectories):
-                await client.open(name, seed=1000 + i)
-            for t in range(split):
-                for name, trajectory in trajectories.items():
-                    streams[name].append(
-                        strip_elapsed(await client.step(name, trajectory[t]))
-                    )
-            await client.close()
-            summary = await server.drain()
-            assert summary["sessions_checkpointed"] == len(trajectories)
-            assert summary["sessions_lost"] == 0
-            return streams
-
-        async def second_half(streams):
-            server = ReleaseServer(
-                make_engine(restart_shards), store=store, config=ServerConfig()
+        )
+        assert summary["sessions_checkpointed"] == len(trajectories)
+        assert summary["sessions_lost"] == 0
+        second, _, _ = asyncio.run(
+            serve_trajectories(
+                trajectories,
+                "local" if restart_shards else "inprocess",
+                store=store,
+                finish=False,
+                steps=range(split, HORIZON),
+                n_workers=restart_shards,
             )
-            await server.start()
-            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
-            for t in range(split, HORIZON):
-                for name, trajectory in trajectories.items():
-                    streams[name].append(
-                        strip_elapsed(await client.step(name, trajectory[t]))
-                    )
-            await client.close()
-            await server.drain()
-            return streams
-
-        streams = asyncio.run(first_half())
-        streams = asyncio.run(second_half(streams))
-        assert streams == reference
+        )
+        streams = {name: first[name] + second[name] for name in trajectories}
+        assert streams == direct_records(trajectories)
 
 
 class TestShardedGuards:
     def test_inline_workers_rejected_with_sharded_backend(self):
-        pool = ShardPool(make_manager, 1)
-        try:
-            from repro.errors import ServiceError
-
+        store = MemorySessionStore()
+        with serving_engine(1, store) as engine:
             with pytest.raises(ServiceError, match="workers=0"):
-                ReleaseServer(pool, config=ServerConfig(workers=0))
-        finally:
-            pool.close()
+                ReleaseServer(engine, store=store, config=ServerConfig(workers=0))
 
     def test_eviction_skips_dead_shard_sessions(self):
-        """A dead shard's resident sessions must not poison eviction.
+        """A dead worker's resident sessions must not poison eviction.
 
         With ``max_resident=1`` every request triggers eviction; if the
-        LRU victim lives on the dead shard, the suspend fails -- that
+        LRU victim lives on the dead worker, the suspend fails -- that
         failure belongs to the lost session, never to the healthy
         client whose request triggered the scan.
         """
 
         async def run():
-            pool = ShardPool(make_manager, 2)
-            server = ReleaseServer(
-                pool,
-                store=MemorySessionStore(),
-                config=ServerConfig(max_resident=1),
-            )
-            await server.start()
-            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
-            on_zero = next(
-                f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 0
-            )
-            on_one = next(
-                f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 1
-            )
-            await client.open(on_zero, seed=1)
-            await client.open(on_one, seed=2)
+            store = MemorySessionStore()
+            with serving_engine(2, store) as engine:
+                server = ReleaseServer(
+                    engine, store=store, config=ServerConfig(max_resident=1)
+                )
+                await server.start()
+                client = await AsyncServiceClient.connect(
+                    "127.0.0.1", server.port
+                )
+                (on_zero,), (on_one,) = sessions_by_worker(engine.backend)
+                await client.open(on_zero, seed=1)
+                await client.open(on_one, seed=2)
 
-            pool._handles[1]._process.kill()
-            pool._handles[1]._process.join(10)
+                kill_worker(engine, engine.worker_addresses()[1])
 
-            # the healthy session keeps serving through repeated
-            # eviction scans that may pick the dead shard's session
-            for t in range(3):
-                record = await client.step(on_zero, t % N_CELLS)
-                assert record["t"] == t + 1
-            stats = await client.stats()
-            assert stats["errors"].get("shard_down") is None
-            await client.close()
-            await server.drain()
+                # the healthy session keeps serving through repeated
+                # eviction scans that may pick the dead worker's session
+                for t in range(3):
+                    record = await client.step(on_zero, t % N_CELLS)
+                    assert record["t"] == t + 1
+                stats = await client.stats()
+                assert stats["errors"].get("shard_down") is None
+                assert stats["errors"].get("worker_down") is None
+                await client.close()
+                await server.drain()
 
         asyncio.run(run())
 
@@ -309,36 +251,36 @@ class TestShardedGuards:
 class TestShardDownOverWire:
     def test_dead_shard_answers_shard_down_for_its_sessions_only(self):
         async def run():
-            pool = ShardPool(make_manager, 2)
-            server = ReleaseServer(pool, config=ServerConfig())
-            await server.start()
-            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
-            on_zero = next(
-                f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 0
-            )
-            on_one = next(
-                f"s{i}" for i in range(100) if shard_for(f"s{i}", 2) == 1
-            )
-            await client.open(on_zero, seed=1)
-            await client.open(on_one, seed=2)
+            store = MemorySessionStore()
+            with serving_engine(2, store) as engine:
+                server = ReleaseServer(engine, store=store, config=ServerConfig())
+                await server.start()
+                client = await AsyncServiceClient.connect(
+                    "127.0.0.1", server.port
+                )
+                (on_zero,), (on_one,) = sessions_by_worker(engine.backend)
+                await client.open(on_zero, seed=1)
+                await client.open(on_one, seed=2)
 
-            pool._handles[1]._process.kill()
-            pool._handles[1]._process.join(10)
+                dead = engine.worker_addresses()[1]
+                kill_worker(engine, dead)
 
-            with pytest.raises(ShardDownError):
-                await client.step(on_one, 3)
-            record = await client.step(on_zero, 3)
-            assert record["t"] == 1
+                # no durable checkpoint: the loss is typed, never silent
+                with pytest.raises(ShardDownError):
+                    await client.step(on_one, 3)
+                record = await client.step(on_zero, 3)
+                assert record["t"] == 1
 
-            stats = await client.stats()
-            assert stats["shards"]["alive"] == 1
-            assert stats["shards"]["per_shard"][1]["alive"] is False
-            assert stats["shards"]["per_shard"][1]["lost_sessions"] == 1
-            assert stats["errors"].get("shard_down") == 1
+                stats = await client.stats()
+                assert stats["shards"]["alive"] == 1
+                rows = {row["worker"]: row for row in stats["shards"]["per_shard"]}
+                assert rows[dead]["alive"] is False
+                assert stats["errors"].get("worker_down") == 1
+                assert stats["recovery"]["sessions_lost"] == 1
+                assert stats["failures"]["sessions_lost"] == 1
 
-            await client.close()
-            summary = await server.drain()
-            assert summary["sessions_lost"] == 1
+                await client.close()
+                summary = await server.drain()
             assert summary["sessions_checkpointed"] == 1
 
         asyncio.run(run())

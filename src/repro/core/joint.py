@@ -11,11 +11,18 @@ adversary-chosen) initial distribution ``pi``:
 * ``c[i] = Pr(o_1..o_t | u_1 = s_i)``
 
 The implementation mirrors Algorithm 2's bookkeeping (lines 3-15 and
-21-25) with two refinements:
+21-25) with these refinements:
 
 * fronts are kept *collapsed* to pi-space, i.e. ``(m, 2m)`` matrices
   ``L A`` rather than the paper's ``(2m, 2m)`` ``A``, halving the cost and
   absorbing the ``start == 1`` initial-split extension for free;
+* one front serves every timestamp.  Lemma III.3 freezes the end-front
+  and, past the window, carries its event-true part (the true-world
+  columns) next to the total.  But the lifted chain is block-diagonal
+  for ``t >= end`` (Eqs. 5/8), so the event-true part stays exactly the
+  total front with its false-world half zeroed; ``b`` therefore reads
+  the total front through the true-world selector ``[0, 1]``, which
+  plays the role of the tail vector for ``t > end``;
 * the transition-propagation step (independent of the candidate output)
   is separated from the cheap per-candidate step, so PriSTE's budget-
   halving loop pays O(m^2) per retry instead of O(m^3);
@@ -63,16 +70,11 @@ class EventQuantifier:
         self._model = model
         m = model.n_states
         self._m = m
-        # Phase 1 front: L A, shape (m, 2m).  Starts as the initial lift.
-        self._front: np.ndarray | None = model.initial_lift_matrix()
-        # Phase 2 fronts (t > end): event-true part and total.
-        self._front_true: np.ndarray | None = None
-        self._front_all: np.ndarray | None = None
+        # Committed front L A, shape (m, 2m).  Starts as the initial lift.
+        self._front: np.ndarray = model.initial_lift_matrix()
         self._committed_t = 0
         self._prepared_t: int | None = None
         self._prop: np.ndarray | None = None
-        self._prop_true: np.ndarray | None = None
-        self._prop_all: np.ndarray | None = None
         self._log_scale = 0.0
         self._tails = model.tail_vectors()
         self._a = model.prior_vector()
@@ -103,6 +105,11 @@ class EventQuantifier:
         """Collapsed prior vector ``a`` (Eq. 17), unscaled."""
         return self._a.copy()
 
+    def _tail(self, t: int) -> np.ndarray:
+        # Lemma III.2's suffix product; past the window the last one, the
+        # bare true-world selector (see the module docstring).
+        return self._tails[min(t, self._model.end) - 1]
+
     # ------------------------------------------------------------------
     # protocol
     # ------------------------------------------------------------------
@@ -117,17 +124,10 @@ class EventQuantifier:
             raise QuantificationError(
                 f"t={t} beyond model horizon {self._model.horizon}"
             )
-        if self._committed_t <= self._model.end and self._front is not None:
-            # Phase 1: single front, lifted transition (identity at t=1).
-            if t == 1:
-                self._prop = self._front
-            else:
-                self._prop = self._model.propagate_front(self._front, t - 1)
+        if t == 1:
+            self._prop = self._front
         else:
-            # Phase 2: both fronts propagate through the (block-diagonal
-            # after the event) lifted matrix.
-            self._prop_true = self._model.propagate_front(self._front_true, t - 1)
-            self._prop_all = self._model.propagate_front(self._front_all, t - 1)
+            self._prop = self._model.propagate_front(self._front, t - 1)
         self._prepared_t = t
 
     def _lift_column(self, ptilde) -> np.ndarray:
@@ -152,27 +152,15 @@ class EventQuantifier:
                 f"candidate_bc({t}) requires prepare({t}) first"
             )
         lifted = self._lift_column(ptilde)
-        if self._prop is not None:
-            # Lemma III.2: append the emission and the tail product.
-            # Both reductions hit the same front, so they are fused into
-            # one (m, 2m) @ (2m, 2) product -- the front streams through
-            # memory once instead of twice.
-            tail = self._tails[t - 1] if t <= self._model.end else None
-            if tail is None:
-                raise QuantificationError(
-                    "internal error: phase 1 prepared beyond event end"
-                )
-            stacked = np.empty((2 * self._m, 2), dtype=np.float64)
-            np.multiply(lifted, tail, out=stacked[:, 0])
-            stacked[:, 1] = lifted
-            bc = self._prop @ stacked
-            b = np.ascontiguousarray(bc[:, 0])
-            c = np.ascontiguousarray(bc[:, 1])
-        else:
-            # Lemma III.3: the backward product hits the frozen end-front.
-            b = self._prop_true @ lifted
-            c = self._prop_all @ lifted
-        return b, c
+        # Lemmas III.2/III.3: append the emission and the tail.  Both
+        # reductions hit the same front, so they are fused into one
+        # (m, 2m) @ (2m, 2) product -- the front streams through memory
+        # once instead of twice.
+        stacked = np.empty((2 * self._m, 2), dtype=np.float64)
+        np.multiply(lifted, self._tail(t), out=stacked[:, 0])
+        stacked[:, 1] = lifted
+        bc = self._prop @ stacked
+        return np.ascontiguousarray(bc[:, 0]), np.ascontiguousarray(bc[:, 1])
 
     def candidate_bc_many(self, t: int, columns) -> tuple[np.ndarray, np.ndarray]:
         """Scaled ``(B, C)``, each ``(N, m)``, for N candidate columns.
@@ -199,6 +187,7 @@ class EventQuantifier:
         if np.any(cols < 0) or np.any(cols > 1):
             raise QuantificationError("emission probabilities must lie in [0, 1]")
         lifted = np.concatenate([cols, cols], axis=1)
+        tail = self._tail(t)
         # Unlike propagate_front, an adaptive per-call switch is sound
         # here: this method's contract is already only ulp-accurate
         # against candidate_bc (see above), so the crossover can use the
@@ -210,83 +199,50 @@ class EventQuantifier:
             and cols.shape[0] >= _SPARSE_BC_MIN_COLUMNS
             and np.count_nonzero(cols) <= _SPARSE_BC_MAX_DENSITY * cols.size
         )
-        if self._prop is not None:
-            tail = self._tails[t - 1] if t <= self._model.end else None
-            if tail is None:
-                raise QuantificationError(
-                    "internal error: phase 1 prepared beyond event end"
-                )
-            if sparse:
-                lifted_sp = _scipy_sparse.csr_array(lifted)
-                prop_t = np.ascontiguousarray(self._prop.T)
-                b = np.asarray(lifted_sp.multiply(tail).tocsr() @ prop_t)
-                c = np.asarray(lifted_sp @ prop_t)
-                _count_front(sparse_matmuls=2)
-            else:
-                b = (lifted * tail[None, :]) @ self._prop.T
-                c = lifted @ self._prop.T
-        elif sparse:
+        if sparse:
             lifted_sp = _scipy_sparse.csr_array(lifted)
-            b = np.asarray(lifted_sp @ np.ascontiguousarray(self._prop_true.T))
-            c = np.asarray(lifted_sp @ np.ascontiguousarray(self._prop_all.T))
+            prop_t = np.ascontiguousarray(self._prop.T)
+            b = np.asarray(lifted_sp.multiply(tail).tocsr() @ prop_t)
+            c = np.asarray(lifted_sp @ prop_t)
             _count_front(sparse_matmuls=2)
         else:
-            b = lifted @ self._prop_true.T
-            c = lifted @ self._prop_all.T
+            b = (lifted * tail[None, :]) @ self._prop.T
+            c = lifted @ self._prop.T
         return b, c
 
     def abort_prepare(self) -> None:
         """Discard a prepared (uncommitted) timestamp, if any.
 
-        :meth:`prepare` never mutates the committed fronts, so dropping
-        the propagated copies rolls the quantifier back to the last
+        :meth:`prepare` never mutates the committed front, so dropping
+        the propagated copy rolls the quantifier back to the last
         committed boundary -- used by the engine to keep a session
         checkpointable after a failed step.
         """
         self._prepared_t = None
         self._prop = None
-        self._prop_true = None
-        self._prop_all = None
 
     def commit(self, t: int, ptilde) -> None:
         """Fold the released emission column into the state (lines 21-25)."""
         if self._prepared_t != t:
             raise QuantificationError(f"commit({t}) requires prepare({t}) first")
         lifted = self._lift_column(ptilde)
-        if self._prop is not None:
-            front = self._prop * lifted[None, :]
-            if t == self._model.end:
-                # Cross into phase 2: freeze the end-front, split it into
-                # the event-true part (true-world columns) and the total.
-                self._front_all = front
-                front_true = front.copy()
-                front_true[:, : self._m] = 0.0
-                self._front_true = front_true
-                self._front = None
-            else:
-                self._front = front
-        else:
-            self._front_true = self._prop_true * lifted[None, :]
-            self._front_all = self._prop_all * lifted[None, :]
+        # The propagated front belongs to this quantifier (a fresh
+        # product, a row block of prepare_many's stack, or at t == 1 the
+        # committed front itself), so it is folded in place.
+        self._prop *= lifted[None, :]
+        self._front = self._prop
         self._rescale()
         self._committed_t = t
         self._prepared_t = None
         self._prop = None
-        self._prop_true = None
-        self._prop_all = None
 
     def _rescale(self) -> None:
         # Normalize at every commit: b/c magnitudes then stay within a
         # factor ~m of 1 regardless of sequence length, which keeps the
         # solver's relative tolerance meaningful and rules out underflow.
-        reference = self._front if self._front is not None else self._front_all
-        peak = float(reference.max())
+        peak = float(self._front.max())
         if 0.0 < peak and peak != 1.0:
-            if self._front is not None:
-                self._front = self._front / peak
-            else:
-                self._front_all = self._front_all / peak
-                self._front_true = self._front_true / peak
+            self._front /= peak
             self._log_scale += float(np.log(peak))
 
     # ------------------------------------------------------------------
@@ -297,24 +253,32 @@ class EventQuantifier:
 
         Only the between-timestamps state is captured: call it after
         :meth:`commit` (or before the first :meth:`prepare`), never
-        between :meth:`prepare` and :meth:`commit`.
+        between :meth:`prepare` and :meth:`commit`.  Once ``t >= end``
+        is committed the snapshot keeps the two-front layout (``front``
+        is ``None``; ``front_true`` is ``front_all`` with its
+        false-world half zeroed), so checkpoints stay readable by every
+        build of the v2 session schema.
         """
         if self._prepared_t is not None:
             raise QuantificationError(
                 "state_dict() is only valid between timestamps; "
                 f"t={self._prepared_t} is prepared but not committed"
             )
-
-        def pack(array: np.ndarray | None):
-            return None if array is None else array.tolist()
-
-        return {
-            "front": pack(self._front),
-            "front_true": pack(self._front_true),
-            "front_all": pack(self._front_all),
+        state = {
+            "front": None,
+            "front_true": None,
+            "front_all": None,
             "committed_t": self._committed_t,
             "log_scale": self._log_scale,
         }
+        if self._committed_t < self._model.end:
+            state["front"] = self._front.tolist()
+        else:
+            front_true = self._front.copy()
+            front_true[:, : self._m] = 0.0
+            state["front_true"] = front_true.tolist()
+            state["front_all"] = self._front.tolist()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
@@ -322,7 +286,7 @@ class EventQuantifier:
         def unpack(value):
             if value is None:
                 return None
-            array = np.asarray(value, dtype=np.float64)
+            array = np.array(value, dtype=np.float64)
             if array.shape != (self._m, 2 * self._m):
                 raise QuantificationError(
                     f"front must have shape ({self._m}, {2 * self._m}), "
@@ -333,6 +297,7 @@ class EventQuantifier:
         front = unpack(state["front"])
         front_true = unpack(state["front_true"])
         front_all = unpack(state["front_all"])
+        committed_t = int(state["committed_t"])
         if (front is None) == (front_all is None):
             raise QuantificationError(
                 "exactly one of front (phase 1) and front_all (phase 2) "
@@ -342,23 +307,37 @@ class EventQuantifier:
             raise QuantificationError(
                 "front_true and front_all must be present together"
             )
+        past_window = committed_t >= self._model.end
+        if (front is None) != past_window:
+            expected = "front_true/front_all" if past_window else "front"
+            raise QuantificationError(
+                f"committed_t={committed_t} needs the {expected} layout "
+                f"(the event window ends at t={self._model.end})"
+            )
+        if front is None:
+            m = self._m
+            if np.any(front_true[:, :m] != 0.0) or not np.array_equal(
+                front_true[:, m:], front_all[:, m:]
+            ):
+                raise QuantificationError(
+                    "front_true must be front_all with its false-world half "
+                    "zeroed"
+                )
+            front = front_all
         self._front = front
-        self._front_true = front_true
-        self._front_all = front_all
-        self._committed_t = int(state["committed_t"])
+        self._committed_t = committed_t
         self._log_scale = float(state["log_scale"])
         self._prepared_t = None
         self._prop = None
-        self._prop_true = None
-        self._prop_all = None
 
     def prepared_digest(self) -> bytes:
         """Digest of everything a candidate verdict depends on at ``t``.
 
-        Covers the prepared (post-:meth:`prepare`) fronts, the phase-1
-        tail vector and the prior vector ``a`` -- together with a
-        candidate emission column these determine the Theorem IV.1
-        vectors ``(a, b, c)`` exactly, which is what makes verdict
+        Covers the prepared (post-:meth:`prepare`) front, the tail it is
+        read through (Lemma III.2's suffix product, or the true-world
+        selector past the window) and the prior vector ``a`` -- together
+        with a candidate emission column these determine the Theorem
+        IV.1 vectors ``(a, b, c)`` exactly, which is what makes verdict
         caching keyed on this digest sound.
         """
         t = self._prepared_t
@@ -366,14 +345,8 @@ class EventQuantifier:
             raise QuantificationError("prepared_digest() requires prepare(t) first")
         h = hashlib.blake2b(digest_size=16)
         h.update(t.to_bytes(8, "little"))
-        if self._prop is not None:
-            h.update(b"p1")
-            h.update(np.ascontiguousarray(self._prop).tobytes())
-            h.update(np.ascontiguousarray(self._tails[t - 1]).tobytes())
-        else:
-            h.update(b"p2")
-            h.update(np.ascontiguousarray(self._prop_true).tobytes())
-            h.update(np.ascontiguousarray(self._prop_all).tobytes())
+        h.update(np.ascontiguousarray(self._prop).tobytes())
+        h.update(np.ascontiguousarray(self._tail(t)).tobytes())
         h.update(np.ascontiguousarray(self._a).tobytes())
         return h.digest()
 
@@ -433,16 +406,11 @@ def prepare_many(quantifiers, t: int) -> None:
             )
     if t > model.horizon:
         raise QuantificationError(f"t={t} beyond model horizon {model.horizon}")
-    if len(qs) == 1 or t == 1:
-        # t == 1 aliases the committed front with no matmul; replicate
-        # exactly rather than stack.
-        for quantifier in qs:
-            quantifier.prepare(t)
-        return
     m = model.n_states
-    phase1 = qs[0]._committed_t <= model.end and qs[0]._front is not None
     stack = max(1, _PREPARE_STACK_ELEMENTS // (2 * m * m))
-    if stack == 1:
+    if len(qs) == 1 or t == 1 or stack == 1:
+        # t == 1 aliases the committed front with no matmul, and a stack
+        # of one would only copy: replicate solo prepare exactly.
         for quantifier in qs:
             quantifier.prepare(t)
         return
@@ -451,31 +419,11 @@ def prepare_many(quantifiers, t: int) -> None:
         if len(group) == 1:
             group[0].prepare(t)
             continue
-        if phase1:
-            stacked = np.concatenate(
-                [quantifier._front for quantifier in group], axis=0
-            )
-            out = model.propagate_front(stacked, t - 1)
-            for index, quantifier in enumerate(group):
-                quantifier._prop = out[index * m : (index + 1) * m]
-                quantifier._prop_true = None
-                quantifier._prop_all = None
-                quantifier._prepared_t = t
-        else:
-            stacked = np.concatenate(
-                [quantifier._front_true for quantifier in group]
-                + [quantifier._front_all for quantifier in group],
-                axis=0,
-            )
-            out = model.propagate_front(stacked, t - 1)
-            half = len(group) * m
-            for index, quantifier in enumerate(group):
-                quantifier._prop = None
-                quantifier._prop_true = out[index * m : (index + 1) * m]
-                quantifier._prop_all = out[
-                    half + index * m : half + (index + 1) * m
-                ]
-                quantifier._prepared_t = t
+        stacked = np.concatenate([quantifier._front for quantifier in group], axis=0)
+        out = model.propagate_front(stacked, t - 1)
+        for index, quantifier in enumerate(group):
+            quantifier._prop = out[index * m : (index + 1) * m]
+            quantifier._prepared_t = t
 
 
 def joint_probability(

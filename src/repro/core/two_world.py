@@ -91,9 +91,10 @@ def front_stats() -> dict:
 
     ``sparse_models`` / ``dense_models`` count :class:`TwoWorldModel`
     constructions by routing decision; ``sparse_matmuls`` /
-    ``dense_matmuls`` tally individual block products; ``csr_hits`` /
-    ``csr_misses`` measure the per-timestamp CSR block cache.  Feeds
-    the ``solver`` section of the service ``stats`` op.
+    ``dense_matmuls`` tally individual half-front products (exactly two
+    per :meth:`TwoWorldModel.propagate_front` call); ``csr_hits`` /
+    ``csr_misses`` measure the per-chain-matrix CSR cache.  Feeds the
+    ``solver`` section of the service ``stats`` op.
     """
     with _front_lock:
         snapshot = dict(_front_counts)
@@ -193,9 +194,11 @@ class TwoWorldModel:
             )
         self._tails: np.ndarray | None = None
         self._sparse = _resolve_sparse_routing(self._chain, sparse)
-        # Transposed-CSR forms of the lifted blocks, keyed by timestamp;
-        # populated lazily by the sparse propagation path.
-        self._csr_cache: dict[int, tuple] = {}
+        self._moves = self._world_moves()
+        # Transposed CSR of each distinct chain matrix, keyed by the id of
+        # its array (the chain keeps every array alive, so ids are
+        # stable); populated lazily by the sparse propagation path.
+        self._csr_cache: dict[int, object] = {}
         _count_front(
             **{("sparse_models" if self._sparse else "dense_models"): 1}
         )
@@ -250,6 +253,34 @@ class TwoWorldModel:
     def _region_indicator(self, t: int) -> np.ndarray:
         return self._event.region_at(t).indicator()
 
+    def _world_moves(self) -> dict[int, tuple[bool, np.ndarray]]:
+        """The Eqs. (4)-(8) case table: ``t -> (into_true, columns)``.
+
+        Every non-zero block of the lifted ``M_t`` is the chain matrix
+        ``M`` with some columns zeroed, so ``M_t`` is "both worlds step
+        by ``M``, then the listed destination columns change world":
+        from the false to the true world when ``into_true``, back
+        otherwise.  Timestamps absent from the table are block-diagonal
+        (Eqs. 5 and 8), which covers every ``t >= end``.
+        """
+        start, end = self.start, self.end
+        moves = {}
+        for t in range(max(1, start - 1), end):
+            if isinstance(self._event, PresenceEvent):
+                # Eq. (4): transitions into the region at time t+1 move to
+                # the true world; the true world absorbs.
+                region = self._region_indicator(max(t + 1, start))
+                moves[t] = (True, np.flatnonzero(region))
+            elif t == start - 1:
+                # Eq. (6): the split into worlds, by membership at `start`.
+                moves[t] = (True, np.flatnonzero(self._region_indicator(start)))
+            else:
+                # Eq. (7): true-world mass survives only if it continues
+                # into the region at time t+1; otherwise it falls back.
+                region = self._region_indicator(t + 1)
+                moves[t] = (False, np.flatnonzero(region == 0.0))
+        return moves
+
     def transition_blocks(
         self, t: int
     ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -257,36 +288,22 @@ class TwoWorldModel:
 
         Block layout follows Eq. (3): ``ff`` = false world to false world,
         ``ft`` = false to true, ``tf`` = true to false, ``tt`` = true to
-        true.  Structurally-zero blocks are returned as ``None`` so hot
-        paths can skip the corresponding matrix products.
+        true.  Structurally-zero blocks are returned as ``None``.
         """
         check_timestamp(t, name="t")
         base = self._chain.array_at(t)
-        start, end = self.start, self.end
-
-        if isinstance(self._event, PresenceEvent):
-            if start - 1 <= t <= end - 1:
-                # Eq. (4): transitions into the region at time t+1 move to
-                # the true world; the true world absorbs.
-                region = self._region_indicator(max(t + 1, start))
-                masked_in = base * region[None, :]
-                return base - masked_in, masked_in, None, base
-            # Eq. (5): independent evolution in both worlds.
+        move = self._moves.get(t)
+        if move is None:
+            # Eqs. (5)/(8): independent evolution in both worlds.
             return base, None, None, base
-
-        if t == start - 1:
-            # Eq. (6): the split into worlds, by membership at `start`.
-            region = self._region_indicator(start)
-            masked_in = base * region[None, :]
-            return base - masked_in, masked_in, None, base
-        if start <= t <= end - 1:
-            # Eq. (7): true-world mass survives only if it continues into
-            # the region at time t+1; otherwise it falls back.
-            region = self._region_indicator(t + 1)
-            masked_in = base * region[None, :]
-            return base, None, base - masked_in, masked_in
-        # Eq. (8)
-        return base, None, None, base
+        into_true, columns = move
+        moved = np.zeros_like(base)
+        moved[:, columns] = base[:, columns]
+        stayed = base.copy()
+        stayed[:, columns] = 0.0
+        if into_true:
+            return stayed, moved, None, base
+        return base, None, moved, stayed
 
     def lifted_matrix(self, t: int) -> np.ndarray:
         """The lifted ``M_t`` (2m x 2m) applied between timestamps t, t+1."""
@@ -303,127 +320,67 @@ class TwoWorldModel:
             lifted[m:, m:] = tt
         return lifted
 
-    def _csr_blocks(self, t: int) -> tuple:
-        """Transposed-CSR forms of ``transition_blocks(t)``, cached by t.
+    def _csr_at(self, t: int):
+        """Transposed CSR of the chain matrix ``M_t``, cached per matrix.
 
         Stored transposed because the sparse path computes each output
-        half as ``(block.T @ front_half.T).T``: sparse-times-dense hits
+        half as ``(M.T @ front_half.T).T``: sparse-times-dense hits
         scipy's fast ``csr_matmat`` row loop, whereas dense-times-sparse
-        goes through a far slower per-column path.  The cache holds at
-        most ``horizon`` entries per model, each a few ``nnz``-sized
-        arrays -- negligible next to the dense chain matrix itself.
+        goes through a far slower per-column path.  A homogeneous chain
+        needs one entry for the whole horizon.
         """
-        cached = self._csr_cache.get(t)
+        base = self._chain.array_at(t)
+        cached = self._csr_cache.get(id(base))
         if cached is not None:
             _count_front(csr_hits=1)
             return cached
         _count_front(csr_misses=1)
-        built = tuple(
-            None
-            if block is None
-            else _scipy_sparse.csr_array(np.ascontiguousarray(block.T))
-            for block in self.transition_blocks(t)
-        )
-        self._csr_cache[t] = built
+        built = _scipy_sparse.csr_array(np.ascontiguousarray(base.T))
+        self._csr_cache[id(base)] = built
         return built
 
     def propagate_front(self, front: np.ndarray, t: int) -> np.ndarray:
         """Right-multiply a ``(k, 2m)`` front matrix by the lifted ``M_t``.
 
-        Exploits the block structure (at most three non-zero m x m blocks)
-        so the cost is 2-3 m^3 products instead of a dense 2m x 2m one.
-        Sparse-routed models (see :attr:`sparse_routing`) run the block
-        products as CSR matmuls instead; the two backends agree to a few
-        ulps (different accumulation orders), which is why the routing is
-        fixed per model rather than chosen per call.
+        Costs two products, each world's half times the chain matrix
+        ``M_t`` (``k m^2`` each on the dense path), followed by moving
+        the case table's columns between the two output halves.  The
+        result is bit-identical to summing one product per non-zero
+        block of Eq. (3): a zeroed block column contributes exact zeros,
+        and each output column's dot product is accumulated in the same
+        order either way.  Sparse-routed models (see
+        :attr:`sparse_routing`) run the two products as CSR matmuls
+        instead; the two backends agree to a few ulps (different
+        accumulation orders), which is why the routing is fixed per
+        model rather than chosen per call.
         """
         m = self.n_states
         if front.ndim != 2 or front.shape[1] != 2 * m:
             raise EventError(
                 f"front must have {2 * m} columns, got shape {front.shape}"
             )
-        if self._sparse:
-            return self._propagate_front_sparse(front, t)
-        ff, ft, tf, tt = self.transition_blocks(t)
-        f0, f1 = front[:, :m], front[:, m:]
-        # Write each gemm straight into the output halves: no 1MB-scale
-        # zero fill, and at most one temporary per half (only when two
-        # blocks feed it) instead of one per product.
         out = np.empty_like(front)
         left, right = out[:, :m], out[:, m:]
-        gemms = 0
-        if ff is not None:
-            np.matmul(f0, ff, out=left)
-            gemms += 1
-            if tf is not None:
-                left += f1 @ tf
-                gemms += 1
-        elif tf is not None:
-            np.matmul(f1, tf, out=left)
-            gemms += 1
+        if self._sparse:
+            # Transposed halves (m, k): scipy's sparse-times-dense kernel
+            # accumulates each output element along a CSR row in a fixed
+            # order independent of k, so stacked fronts (prepare_many)
+            # still produce bit-identical rows to solo propagation.
+            matrix = self._csr_at(t)
+            np.copyto(left, (matrix @ np.ascontiguousarray(front[:, :m].T)).T)
+            np.copyto(right, (matrix @ np.ascontiguousarray(front[:, m:].T)).T)
+            _count_front(sparse_matmuls=2)
         else:
-            left[:] = 0.0
-        if ft is not None:
-            np.matmul(f0, ft, out=right)
-            gemms += 1
-            if tt is not None:
-                right += f1 @ tt
-                gemms += 1
-        elif tt is not None:
-            np.matmul(f1, tt, out=right)
-            gemms += 1
-        else:
-            right[:] = 0.0
-        _count_front(dense_matmuls=gemms)
-        return out
-
-    def _propagate_front_sparse(self, front: np.ndarray, t: int) -> np.ndarray:
-        """CSR form of :meth:`propagate_front`'s block products.
-
-        Works on transposed halves (``(m, k)``): scipy's
-        sparse-times-dense kernel accumulates each output element along
-        a CSR row in a fixed order independent of ``k``, so stacked
-        fronts (``prepare_many``) still produce bit-identical rows to
-        solo propagation -- the same row-independence the dense path's
-        gemms provide.
-        """
-        m = self.n_states
-        ffT, ftT, tfT, ttT = self._csr_blocks(t)
-        f0t = np.ascontiguousarray(front[:, :m].T)
-        f1t = np.ascontiguousarray(front[:, m:].T)
-        out = np.empty_like(front)
-        matmuls = 0
-        if ffT is not None:
-            leftT = ffT @ f0t
-            matmuls += 1
-            if tfT is not None:
-                leftT += tfT @ f1t
-                matmuls += 1
-        elif tfT is not None:
-            leftT = tfT @ f1t
-            matmuls += 1
-        else:
-            leftT = None
-        if ftT is not None:
-            rightT = ftT @ f0t
-            matmuls += 1
-            if ttT is not None:
-                rightT += ttT @ f1t
-                matmuls += 1
-        elif ttT is not None:
-            rightT = ttT @ f1t
-            matmuls += 1
-        else:
-            rightT = None
-        if leftT is None:
-            out[:, :m] = 0.0
-        else:
-            np.copyto(out[:, :m], leftT.T)
-        if rightT is None:
-            out[:, m:] = 0.0
-        else:
-            np.copyto(out[:, m:], rightT.T)
-        _count_front(sparse_matmuls=matmuls)
+            base = self._chain.array_at(t)
+            np.matmul(front[:, :m], base, out=left)
+            np.matmul(front[:, m:], base, out=right)
+            _count_front(dense_matmuls=2)
+        move = self._moves.get(t)
+        if move is not None:
+            into_true, columns = move
+            source, target = (left, right) if into_true else (right, left)
+            target[:, columns] += source[:, columns]
+            source[:, columns] = 0.0
         return out
 
     # ------------------------------------------------------------------

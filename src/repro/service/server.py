@@ -370,17 +370,17 @@ class ReleaseServer:
         )
         registry.gauge(
             "repro_front_sparse_matmuls_total",
-            "Lifted-front block products routed through CSR matmuls",
+            "Lifted-front half products (two per propagation) run as CSR matmuls",
             fn=lambda: _front_stats()["sparse_matmuls"],
         )
         registry.gauge(
             "repro_front_dense_matmuls_total",
-            "Lifted-front block products executed as dense GEMMs",
+            "Lifted-front half products (two per propagation) run as dense GEMMs",
             fn=lambda: _front_stats()["dense_matmuls"],
         )
         registry.gauge(
             "repro_front_csr_cache_hits_total",
-            "Per-timestamp CSR block-cache hits in sparse propagation",
+            "Per-chain-matrix CSR cache hits in sparse propagation",
             fn=lambda: _front_stats()["csr_hits"],
         )
 

@@ -80,3 +80,57 @@ def random_emission(n_states: int, rng: np.random.Generator) -> np.ndarray:
     """A random strictly-positive emission matrix (helper)."""
     raw = rng.uniform(0.05, 1.0, size=(n_states, n_states))
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def block_product_reference(model, front: np.ndarray, t: int) -> np.ndarray:
+    """``front @ M_t`` block by block, straight from Eq. (3) (helper).
+
+    Each output half sums one product per non-zero block of
+    ``model.transition_blocks(t)`` (false-world term first) -- dense
+    gemms, or transposed-CSR matmuls when the model is sparse-routed.
+    ``TwoWorldModel.propagate_front`` must match it bitwise while doing
+    only two products.
+    """
+    from repro.core.two_world import _scipy_sparse
+
+    m = model.n_states
+    halves = (front[:, :m], front[:, m:])
+
+    def product(half, block):
+        if not model.sparse_routing:
+            return half @ block
+        matrix = _scipy_sparse.csr_array(np.ascontiguousarray(block.T))
+        return (matrix @ np.ascontiguousarray(half.T)).T
+
+    ff, ft, tf, tt = model.transition_blocks(t)
+    out = []
+    for blocks in ((ff, tf), (ft, tt)):
+        terms = [
+            product(half, block)
+            for half, block in zip(halves, blocks)
+            if block is not None
+        ]
+        out.append(sum(terms[1:], terms[0]) if terms else np.zeros((len(front), m)))
+    return np.hstack(out)
+
+
+def propagation_events(n_states: int) -> dict:
+    """Events whose windows hit every case of Eqs. (4)-(8) (helper).
+
+    Over t = 1..7: presence from t=1 (Eq. 4 from the first step),
+    presence from t=3 (Eq. 5, then 4, then 5), pattern from t=1 (Eq. 7,
+    then 8) and pattern from t=3 (Eq. 8, 6, 7, then 8).
+    """
+    def region(*cells):
+        return Region.from_cells(n_states, [c % n_states for c in cells])
+
+    return {
+        "presence_start_1": PresenceEvent(region(0, 1), start=1, end=3),
+        "presence_start_3": PresenceEvent(region(2, 5, 6), start=3, end=5),
+        "pattern_start_1": PatternEvent(
+            [region(0, 1, 2), region(1, 2), region(3)], start=1
+        ),
+        "pattern_start_3": PatternEvent(
+            [region(4), region(1, 4, 5), region(0, 5)], start=3
+        ),
+    }

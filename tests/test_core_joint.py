@@ -1,5 +1,7 @@
 """Unit tests for the incremental joint-probability quantifier."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,84 @@ class TestQuantifierProtocol:
         assert np.all(np.isfinite(b)) and np.all(np.isfinite(c))
         assert float(c.max()) > 1e-10  # rescaling kept values in range
         assert quantifier.log_scale < 0  # scale factored out, recorded
+
+
+class TestCheckpointLayout:
+    """One committed front inside, v2 two-front snapshots past the window."""
+
+    EVENTS = {
+        "presence": PresenceEvent(Region.from_cells(4, [1, 2]), start=2, end=3),
+        "pattern": PatternEvent(
+            [Region.from_cells(4, [0, 1]), Region.from_cells(4, [1, 3])], start=2
+        ),
+    }
+
+    def _setup(self, rng, name):
+        model = TwoWorldModel(random_chain(4, rng), self.EVENTS[name], horizon=7)
+        emission = random_emission(4, rng)
+        return model, _columns(emission, rng.integers(4, size=7))
+
+    @staticmethod
+    def _advance(quantifier, cols, upto):
+        for t in range(quantifier.committed_t + 1, upto + 1):
+            quantifier.prepare(t)
+            quantifier.commit(t, cols[t - 1])
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_state_dict_keeps_two_front_layout_past_window(self, rng, name):
+        model, cols = self._setup(rng, name)
+        quantifier = EventQuantifier(model)
+        for t in range(1, model.horizon + 1):
+            self._advance(quantifier, cols, t)
+            state = quantifier.state_dict()
+            if t < model.end:
+                assert state["front"] is not None
+                assert state["front_true"] is None and state["front_all"] is None
+                continue
+            assert state["front"] is None
+            front_true = np.asarray(state["front_true"])
+            front_all = np.asarray(state["front_all"])
+            assert np.all(front_true[:, :4] == 0.0)
+            np.testing.assert_array_equal(front_true[:, 4:], front_all[:, 4:])
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_restore_mid_phase_two_is_bit_identical(self, rng, name):
+        model, cols = self._setup(rng, name)
+        reference = EventQuantifier(model)
+        self._advance(reference, cols, model.end + 1)
+        state = json.loads(json.dumps(reference.state_dict()))
+        assert state["front"] is None
+        restored = EventQuantifier(model)
+        restored.load_state_dict(state)
+        for t in range(model.end + 2, model.horizon + 1):
+            for quantifier in (reference, restored):
+                quantifier.prepare(t)
+            b_ref, c_ref = reference.candidate_bc(t, cols[t - 1])
+            b_res, c_res = restored.candidate_bc(t, cols[t - 1])
+            assert b_ref.tobytes() == b_res.tobytes()
+            assert c_ref.tobytes() == c_res.tobytes()
+            for quantifier in (reference, restored):
+                quantifier.commit(t, cols[t - 1])
+            assert restored.state_dict() == reference.state_dict()
+            assert restored.log_scale == reference.log_scale
+
+    def test_inconsistent_phase_two_state_rejected(self, rng):
+        model, cols = self._setup(rng, "presence")
+        quantifier = EventQuantifier(model)
+        self._advance(quantifier, cols, model.end + 1)
+        state = quantifier.state_dict()
+        front_true = np.asarray(state["front_true"])
+        rescaled = front_true.copy()
+        rescaled[:, 4:] *= 0.5
+        leaked = front_true.copy()
+        leaked[0, 0] = 0.25
+        for bad in (rescaled, leaked):
+            with pytest.raises(QuantificationError, match="front_true"):
+                EventQuantifier(model).load_state_dict(
+                    dict(state, front_true=bad.tolist())
+                )
+        # a single-front (phase 1) layout cannot describe t >= end
+        with pytest.raises(QuantificationError, match="layout"):
+            EventQuantifier(model).load_state_dict(
+                dict(state, front=state["front_all"], front_true=None, front_all=None)
+            )

@@ -31,9 +31,17 @@ from repro.markov.training import fit_transition_matrix
 from repro.markov.transition import TimeVaryingChain, TransitionMatrix
 from repro.scenario.spec import ChainSpec
 
+from conftest import block_product_reference, propagation_events
+
 needs_scipy = pytest.mark.skipif(
     _scipy_sparse is None, reason="scipy unavailable"
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_routing_override(monkeypatch):
+    """Routing is decided by each test, never by the calling shell."""
+    monkeypatch.delenv(SPARSE_ENV, raising=False)
 
 HORIZON = 6
 
@@ -154,6 +162,54 @@ class TestSparseVsDense:
             b, c = quantifier.candidate_bc(1, columns[k])
             np.testing.assert_allclose(b_many[k], b, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(c_many[k], c, rtol=1e-12, atol=1e-15)
+
+
+@needs_scipy
+class TestCsrPropagationBitwise:
+    """Two CSR products per call, bit-identical to per-block CSR products."""
+
+    @pytest.mark.parametrize("name", sorted(propagation_events(150)))
+    def test_csr_matches_block_reference(self, rng, name):
+        horizon = 8
+        chains = {
+            "banded": _banded_matrix(150),
+            "time_varying": TimeVaryingChain(
+                [_banded_matrix(150, bandwidth=b) for b in (1, 2, 3)] * 3
+            ),
+        }
+        for chain_name, chain in chains.items():
+            model = TwoWorldModel(
+                chain, propagation_events(150)[name], horizon, sparse=True
+            )
+            assert model.sparse_routing
+            for rows in (1, 150, 3 * 150):
+                front = rng.uniform(size=(rows, 300))
+                for t in range(1, horizon):
+                    before = front_stats()["sparse_matmuls"]
+                    out = model.propagate_front(front, t)
+                    assert front_stats()["sparse_matmuls"] - before == 2
+                    np.testing.assert_array_equal(
+                        out,
+                        block_product_reference(model, front, t),
+                        err_msg=f"{name} {chain_name} rows={rows} t={t}",
+                    )
+
+    def test_one_csr_per_distinct_chain_matrix(self, rng):
+        event = propagation_events(150)["pattern_start_3"]
+        front = rng.uniform(size=(2, 300))
+        homogeneous = TwoWorldModel(_banded_matrix(150), event, 8, sparse=True)
+        _reset_front_stats()
+        for t in range(1, 8):
+            homogeneous.propagate_front(front, t)
+        assert (front_stats()["csr_misses"], front_stats()["csr_hits"]) == (1, 6)
+        matrices = [_banded_matrix(150, bandwidth=b) for b in (1, 2)]
+        varying = TwoWorldModel(
+            TimeVaryingChain(matrices * 4), event, 8, sparse=True
+        )
+        _reset_front_stats()
+        for t in range(1, 8):
+            varying.propagate_front(front, t)
+        assert (front_stats()["csr_misses"], front_stats()["csr_hits"]) == (2, 5)
 
 
 @needs_scipy

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import enumerate_prior
-from repro.core.two_world import TwoWorldModel
+from repro.core.two_world import SPARSE_ENV, TwoWorldModel, front_stats
 from repro.errors import EventError
 from repro.events.events import PatternEvent, PresenceEvent
 from repro.geo.regions import Region
 from repro.markov.transition import TimeVaryingChain, TransitionMatrix
 
-from conftest import PAPER_M, random_chain
+from conftest import (
+    PAPER_M,
+    block_product_reference,
+    propagation_events,
+    random_chain,
+)
 
 
 class TestPaperExample:
@@ -104,6 +109,34 @@ class TestLiftedStructure:
         assert model.lift_initial(pi) @ vector == pytest.approx(
             pi @ model.collapse(vector)
         )
+
+
+class TestPropagateFrontBitwise:
+    """Two products per call, bit-identical to the block-by-block form."""
+
+    HORIZON = 8
+
+    @pytest.mark.parametrize("m", [7, 64])
+    @pytest.mark.parametrize("name", sorted(propagation_events(7)))
+    def test_dense_matches_block_reference(self, monkeypatch, rng, name, m):
+        monkeypatch.delenv(SPARSE_ENV, raising=False)
+        model = TwoWorldModel(
+            random_chain(m, rng), propagation_events(m)[name], self.HORIZON,
+            sparse=False,
+        )
+        assert not model.sparse_routing
+        # one row, one quantifier's (m, 2m) front, three stacked fronts
+        for rows in (1, m, 3 * m):
+            front = rng.uniform(size=(rows, 2 * m))
+            for t in range(1, self.HORIZON):
+                before = front_stats()["dense_matmuls"]
+                out = model.propagate_front(front, t)
+                assert front_stats()["dense_matmuls"] - before == 2
+                np.testing.assert_array_equal(
+                    out,
+                    block_product_reference(model, front, t),
+                    err_msg=f"{name} rows={rows} t={t}",
+                )
 
 
 class TestPriorAgainstEnumeration:

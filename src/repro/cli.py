@@ -440,10 +440,10 @@ def _serve_main(argv: list[str]) -> int:
                         "live migration (incompatible with --shards; the "
                         "engine flags must match the workers')")
     parser.add_argument("--batch-window-ms", type=float, default=0.0,
-                        help="micro-batching window for concurrent step "
-                        "requests: steps arriving within the window are "
-                        "coalesced into one batched engine call "
-                        "(bit-identical streams; 0 disables)")
+                        help="minimum batch age: steps always batch by "
+                        "themselves under load; a positive value holds "
+                        "each batch until its oldest step has waited "
+                        "this long (bit-identical streams; default 0)")
     parser.add_argument("--standby", default=None, metavar="ADDRS",
                         help="with --backend: comma-separated warm-standby "
                         "worker addresses (tcp://host:port,...); standbys "

@@ -58,6 +58,7 @@ from ..errors import (
     WorkerDownError,
 )
 from ..obs.registry import LatencyHistogram
+from ..obs.trace import activate, deactivate
 from ..obs.trace import current as current_trace
 from .codec import decode_message, encode_call
 from .control import RetryPolicy
@@ -112,6 +113,22 @@ def parse_address(
     if not (0 if allow_ephemeral else 1) <= port < 65536:
         raise ServiceError(f"worker port out of range in {address!r}")
     return f"tcp://{host}:{port}", host, port
+
+
+def _call_in_trace(ctx, handle: "WorkerHandle", op: str, args):
+    """``handle.call`` on a dispatch thread, under the caller's trace.
+
+    ``ctx`` is the submitting thread's :func:`~repro.obs.trace.current`
+    (or ``None``): the active trace is thread-local, so without it a
+    fanned-out RPC would neither stamp the trace id nor record its span.
+    """
+    if ctx is None:
+        return handle.call(op, args)
+    token = activate(*ctx)
+    try:
+        return handle.call(op, args)
+    finally:
+        deactivate(token)
 
 
 class _Waiter:
@@ -693,9 +710,10 @@ class ClusterBackend(ExecutionBackend):
                 errors[sid] = SessionError(f"no open session {sid!r}")
             else:
                 by_worker.setdefault(address, {})[sid] = cell
+        ctx = current_trace()
         futures = {
             address: self._dispatch.submit(
-                handles[address].call, "step_batch", worker_cells
+                _call_in_trace, ctx, handles[address], "step_batch", worker_cells
             )
             for address, worker_cells in by_worker.items()
         }

@@ -600,7 +600,21 @@ class ClusterSupervisor(ExecutionBackend):
     def step_batch(
         self, cells: Mapping[str, int]
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-        records, errors = self._backend.step_batch(cells)
+        errors: dict[str, BaseException] = {}
+        todo: dict[str, int] = {}
+        for sid, cell in cells.items():
+            lost = self._lost_error(sid)
+            if lost is not None:
+                errors[sid] = lost
+            else:
+                todo[sid] = cell
+        # Every member's session lock, as a solo op holds its own, so a
+        # recovery's restore+replay never interleaves with the batch.
+        with contextlib.ExitStack() as stack:
+            for sid in sorted(todo):
+                stack.enter_context(self._session_op(sid))
+            records, batch_errors = self._backend.step_batch(todo)
+        errors.update(batch_errors)
         for sid in records:
             self._note_step(sid, cells[sid])
         down = [

@@ -43,15 +43,16 @@ from .session import SessionState
 def step_batch_on_manager(
     manager: SessionManager, cells: Mapping[str, int]
 ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-    """One micro-batch of steps with per-member error isolation.
+    """One batch of steps with per-member error isolation.
 
     Each member is validated individually, so one bad session id or
     out-of-range cell rejects that request alone.  Valid members are
     grouped by timestamp and each group steps through
     :meth:`SessionManager.step_many` (bit-identical to per-session
-    stepping); a group's lockstep failure rolls that group back
-    atomically and is routed to exactly its members, so sessions in
-    other groups keep their committed records.
+    stepping).  A group whose lockstep call fails has been rolled back
+    whole, so its members re-run one at a time with solo
+    :meth:`SessionManager.step` -- bit-identical again -- and only the
+    member that raises fails.
 
     Returns ``(records, errors)`` keyed by session id; every input id
     appears in exactly one of the two.  Shared by
@@ -69,12 +70,20 @@ def step_batch_on_manager(
     for sid, cell in valid.items():
         groups.setdefault(manager.session(sid).t, {})[sid] = cell
     records: dict[str, ReleaseRecord] = {}
-    for group_cells in groups.values():
+    for t, group_cells in groups.items():
         try:
             records.update(manager.step_many(group_cells))
-        except Exception as error:  # noqa: BLE001 - per-group atomic
-            for sid in group_cells:
-                errors[sid] = error
+        except Exception as group_error:  # noqa: BLE001 - isolate per member
+            for sid, cell in group_cells.items():
+                if manager.session(sid).t != t:
+                    # Committed before a commit-phase failure: stepping
+                    # it again would release a second timestamp.
+                    errors[sid] = group_error
+                    continue
+                try:
+                    records[sid] = manager.step(sid, cell)
+                except Exception as error:  # noqa: BLE001 - this member's
+                    errors[sid] = error
     return records, errors
 
 

@@ -14,7 +14,7 @@ Architecture::
            │  span: request, serialize       │         │  /healthz /readyz
            ▼                                 │         ▼
          executor.py / StepBatcher           │    obs.registry.render()
-           │  span: queue_wait, batch_wait   │      counters/gauges/
+           │  span: queue_wait, solve        │      counters/gauges/
            ▼                                 │      histograms, one lock,
          ExecutionBackend                    │      Prometheus text 0.0.4
            │  ClusterBackend (+ supervisor)  │

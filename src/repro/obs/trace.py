@@ -1,10 +1,10 @@
 """Request tracing: trace/span ids, timed spans, bounded span buffers.
 
 A *trace* is one request's journey through the serving stack; a *span*
-is one timed segment of it (``request``, ``queue_wait``, ``batch_wait``,
-``solve``, ``rpc``, ``serialize``).  Ids are opaque hex strings minted
-from ``os.urandom`` -- no coordination, no global counter, safe across
-processes.
+is one timed segment of it (``request``, ``queue_wait``, ``solve``,
+``rpc``, ``serialize``; worker processes add ``solver``).  Ids are
+opaque hex strings minted from ``os.urandom`` -- no coordination, no
+global counter, safe across processes.
 
 The :class:`Tracer` keeps finished spans in a fixed-size ring buffer
 (:class:`collections.deque` with ``maxlen``) plus a separate slow-span
@@ -18,11 +18,12 @@ Cross-thread propagation: ``asyncio``'s ``run_in_executor`` does not
 carry contextvars into pool threads, and the ``ExecutionBackend``
 interface should not grow a ``trace`` argument on every method.  So the
 active trace rides in a module-level ``threading.local`` instead:
-the server's worker-thread closure calls :func:`activate` before
-touching the backend, the backend's RPC clients read :func:`current`
-when encoding a call, and the worker process re-activates the
-propagated ids around execution.  Strictly per-thread, explicitly
-scoped, nothing leaks between requests.
+the step batcher's pool job calls :func:`activate` (with the trace of
+the batch's first traced member) before touching the backend, a
+backend that fans calls out to its own threads carries :func:`current`
+along, the RPC clients read it when encoding a call, and the worker
+process re-activates the propagated ids around execution.  Strictly
+per-thread, explicitly scoped, nothing leaks between requests.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ bottom::
                                      drain on SIGINT/SIGTERM
            executor.py            -- worker-pool offload of the CPU-bound
                                      calibrate-and-check step, with strict
-                                     per-session ordering; opt-in
-                                     micro-batching (--batch-window-ms)
-                                     coalescing concurrent steps onto the
-                                     backend's batched step pipeline
+                                     per-session ordering; every step goes
+                                     through a self-clocked group-commit
+                                     queue onto the backend's batched step
+                                     pipeline
            store.py               -- pluggable SessionStore (memory / JSON
                                      directory / SQLite): idle sessions are
                                      evicted via the engine's JSON

@@ -3,8 +3,8 @@
 The calibrate-and-check step is CPU-bound (linear algebra + the QP
 solver); run on the event loop it would serialize every client behind
 the slowest step and starve the loop.  :class:`SessionExecutor` pushes
-each step onto a ``ThreadPoolExecutor`` -- numpy/scipy release the GIL
-in their kernels, so different sessions genuinely overlap -- while a
+work onto a ``ThreadPoolExecutor`` -- numpy/scipy release the GIL in
+their kernels, so different sessions genuinely overlap -- while a
 per-session async lock guarantees that operations *on one session*
 never run concurrently or out of order (the session owns a stateful RNG
 and quantifier fronts; ordering is what makes server-mediated streams
@@ -13,11 +13,11 @@ bit-identical to direct ones).
 The same per-session lock also serializes lifecycle operations (open,
 finish, evict, restore) against in-flight steps of that session.
 
-:class:`StepBatcher` adds opt-in micro-batching on top: concurrent step
-requests arriving within a small window coalesce into one
-:meth:`~repro.engine.SessionManager.step_many` call, which batches the
-linear algebra and solver work across sessions while the per-session
-locks keep each stream ordered and bit-identical.
+Every served step goes through :class:`StepBatcher`, a self-clocked
+group-commit queue that flushes all pending steps as one batched
+backend call whenever a pool slot is free.  A flush runs under the
+trace of its first traced member, so a worker backend stamps one trace
+id on each RPC, as for a solo step.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
+
+from ..obs.trace import NULL_TRACER, activate, deactivate
 
 T = TypeVar("T")
 
@@ -155,41 +157,22 @@ class SessionExecutor:
             return fn()
 
     @contextlib.asynccontextmanager
-    async def hold_many(self, session_ids, acquisition_gate: asyncio.Lock | None = None):
+    async def hold_many(self, session_ids):
         """Hold several sessions' locks at once (batched stepping).
 
         Locks are acquired in sorted order, so any two holders that
         overlap acquire their common sessions in the same global order
         -- no deadlock regardless of how batches interleave with
         single-session operations (which never acquire a second lock).
-
-        ``acquisition_gate`` serializes the *acquisition phase* across
-        batches: a later batch cannot start queueing on any lock until
-        the earlier batch holds all of its own, so two batches sharing
-        a session always apply their steps in flush order even when the
-        earlier batch is momentarily blocked on an unrelated contended
-        lock.  The gate is released before the work runs, so disjoint
-        batches still execute concurrently.
         """
         async with contextlib.AsyncExitStack() as stack:
-            if acquisition_gate is not None:
-                await acquisition_gate.acquire()
-            try:
-                for session_id in sorted(session_ids):
-                    await stack.enter_async_context(self._locks.hold(session_id))
-            finally:
-                if acquisition_gate is not None:
-                    acquisition_gate.release()
+            for session_id in sorted(session_ids):
+                await stack.enter_async_context(self._locks.hold(session_id))
             yield
 
-    async def run_batch(
-        self,
-        session_ids,
-        fn: Callable[[], T],
-        acquisition_gate: asyncio.Lock | None = None,
-    ) -> T:
+    async def run_batch(self, session_ids, fn: Callable[[], T]) -> T:
         """Run ``fn`` on the pool while holding every session's lock."""
-        async with self.hold_many(session_ids, acquisition_gate):
+        async with self.hold_many(session_ids):
             if self._pool is None:
                 return fn()
             return await asyncio.get_running_loop().run_in_executor(
@@ -203,42 +186,38 @@ class SessionExecutor:
 
 
 class StepBatcher:
-    """Coalesce concurrent step requests onto one batched backend call.
+    """The one step path: a self-clocked group-commit queue.
 
-    Opt-in (``--batch-window-ms``): the first step request of a batch
-    opens a collection window; requests landing within it join; when the
-    window closes, one worker-pool job steps the whole batch through the
-    execution backend's batched pipeline
-    (:meth:`~repro.engine.backend.ExecutionBackend.step_batch`) under
-    every member session's lock.  Accepts a
-    :class:`~repro.engine.SessionManager` (wrapped in-process) or any
-    :class:`~repro.engine.backend.ExecutionBackend`.
+    Every served ``step`` enqueues here.  While fewer than
+    ``executor.workers`` batches (at least one) are in flight, all
+    queued steps flush on the next loop turn as one pool job that runs
+    :meth:`~repro.engine.backend.ExecutionBackend.step_batch` under
+    every member's session lock (:meth:`SessionExecutor.run_batch`).
+    A lone step on an idle server runs at once; under load the steps
+    that arrive while the pool is busy form the next batch.
+    ``window_s`` only sets a minimum batch age: a flush waits until its
+    oldest step has queued that long.  ``manager`` is a
+    :class:`~repro.engine.SessionManager` or any execution backend.
 
-    Ordering and stream identity are preserved:
+    Ordering: a session is in at most one batch in flight (a pipelined
+    second step waits for a flush after its first step's batch), so a
+    session's steps apply in submission order and batches never wait on
+    each other's locks; :meth:`barrier` lets non-step operations wait
+    for a session's queued steps.  Since ``step_many`` is bit-identical
+    to solo stepping, so is every served stream.
 
-    * a session appears at most once per batch -- a second request for a
-      session already collected flushes the open batch immediately and
-      seeds the next one;
-    * batches acquire their session locks under one acquisition gate
-      (see :meth:`SessionExecutor.hold_many`), so consecutive batches
-      touching the same session apply its steps strictly in flush
-      order, and :meth:`barrier` lets non-step operations on a session
-      wait for its pending batched step first;
-    * ``step_many`` itself is bit-identical to per-session stepping, so
-      a served stream looks exactly as it would without batching --
-      micro-batching only trades a bounded admission latency for
-      cross-session throughput.
-
-    Failures stay per-request: each member is validated (and restored
-    from the store) individually, so one bad session id or cell rejects
-    that request alone; only an engine-level error inside the shared
-    batched call fails that member's timestamp group.
-
-    With a worker backend (``--shards`` or ``--backend``) the flushed
-    batch additionally fans out as at most one RPC per worker (see
-    :meth:`repro.cluster.ClusterBackend.step_batch`), which is the
-    multi-core scaling path: one collection window's worth of steps
-    runs on every worker process in parallel.
+    Per member, the pool job measures the queue wait (submit to job
+    start), feeds it to the shedder (``observe``), sheds a blown
+    ``deadline_ms`` (``check_deadline``) before any session state is
+    touched, restores a store-parked session, and records the
+    ``queue_wait`` and ``solve`` spans of a traced request.  The
+    backend call runs under the trace of the first traced member, so a
+    worker backend stamps one trace id per RPC, as for a solo step.
+    A failure -- bad id or cell, shed deadline, engine error (see
+    :func:`~repro.engine.backend.step_batch_on_manager`) -- rejects
+    that member's request alone.  With a worker backend a flush fans
+    out as at most one RPC per worker
+    (:meth:`repro.cluster.ClusterBackend.step_batch`).
     """
 
     def __init__(
@@ -248,24 +227,27 @@ class StepBatcher:
         window_s: float,
         restore: Callable[[str], bool] | None = None,
         tracer=None,
+        shedder=None,
     ):
         from ..engine.backend import as_backend
-        from ..obs.trace import NULL_TRACER
 
         self._backend = as_backend(manager)
         self._executor = executor
         self._window_s = float(window_s)
         self._restore = restore
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # sid -> (cell, future, trace_id, enqueued_perf_s)
-        self._pending: dict[str, tuple] = {}
-        # Newest in-flight (flushed but unresolved) step future per
-        # session; the acquisition gate orders batches, so awaiting the
-        # newest also waits out any older one for the same session.
-        self._inflight: dict[str, asyncio.Future] = {}
-        self._window_task: asyncio.Task | None = None
+        self._shedder = shedder
+        # sid -> that session's queued steps, oldest first; a step is
+        # (cell, future, trace_id, deadline_ms, submitted_perf_s).
+        self._pending: dict[str, list[tuple]] = {}
+        self._n_pending = 0
+        self._busy: set[str] = set()  # sessions in a flushed batch
+        # Newest unresolved step future per session: a session's steps
+        # resolve in order, so awaiting it waits out all of them.
+        self._newest: dict[str, asyncio.Future] = {}
+        self._flush_handle: asyncio.Handle | None = None
+        self._running = 0
         self._flush_tasks: set[asyncio.Task] = set()
-        self._acquisition_gate = asyncio.Lock()
         self._batches = 0
         self._steps = 0
         self._max_batch = 0
@@ -280,153 +262,154 @@ class StepBatcher:
             "mean_batch": round(self._steps / self._batches, 3)
             if self._batches
             else None,
-            "pending": len(self._pending),
-            "inflight": len(self._inflight),
+            "pending": self._n_pending,
+            "inflight": self._running,
         }
 
     def window_occupancy(self) -> int:
-        """Steps collected in the currently open window (gauge)."""
-        return len(self._pending)
+        """Steps queued and not yet flushed (gauge)."""
+        return self._n_pending
 
-    async def submit(self, session_id: str, cell: int, trace_id: str | None = None):
+    def queue_depth(self) -> int:
+        """Unanswered steps (queued or in a running batch) plus pool jobs.
+
+        Under load the backlog waits here, not in the pool queue; and a
+        flush empties the queue into a batch whose run delays the next
+        arrivals, so the shedder must not read that moment as drained.
+        """
+        return self._n_pending + len(self._busy) + self._executor.queue_depth()
+
+    async def submit(
+        self,
+        session_id: str,
+        cell: int,
+        trace_id: str | None = None,
+        deadline_ms: int | None = None,
+    ):
         """Queue one step; resolves to ``(restored, record)`` or raises."""
-        loop = asyncio.get_running_loop()
-        if session_id in self._pending:
-            # Same session twice in one window: close the batch so the
-            # two steps stay strictly ordered (the locks do the rest).
-            self._spawn_flush()
-        future: asyncio.Future = loop.create_future()
-        self._pending[session_id] = (
-            int(cell),
-            future,
-            trace_id,
-            time.perf_counter() if self._tracer.enabled else 0.0,
+        future = asyncio.get_running_loop().create_future()
+        self._pending.setdefault(session_id, []).append(
+            (int(cell), future, trace_id, deadline_ms, time.perf_counter())
         )
-        if self._window_task is None:
-            self._window_task = loop.create_task(self._window())
+        self._n_pending += 1
+        self._newest[session_id] = future
+        self._schedule()
         return await future
 
     async def barrier(self, session_id: str) -> None:
-        """Wait out a pending or in-flight batched step for ``session_id``.
+        """Wait out every queued or in-flight step for ``session_id``.
 
-        Non-step operations (finish, checkpoint, peek) call this before
-        taking the session's lock, so a step still sitting in the open
-        collection window -- or flushed but not yet holding its locks --
-        cannot be overtaken by a later request for the same session.
-        The step's own outcome (or error) is delivered to its
-        submitter, not here.
+        Non-step operations call this before taking the session's lock,
+        so they cannot overtake an earlier step of the session.  The
+        step's outcome (or error) goes to its submitter, not here.
         """
-        entry = self._pending.get(session_id)
-        if entry is not None:
-            self._spawn_flush()
-            future = entry[1]
-        else:
-            future = self._inflight.get(session_id)
-            if future is None:
-                return
-        try:
-            await asyncio.shield(future)
-        except BaseException:  # noqa: BLE001 - outcome belongs to the submitter
-            pass
+        future = self._newest.get(session_id)
+        if future is not None:
+            await asyncio.wait((future,))
+
+    def _schedule(self) -> None:
+        """Arrange the next flush once a batch slot is free."""
+        if (
+            self._flush_handle is not None
+            or not self._pending
+            or self._running >= max(1, self._executor.workers)
+        ):
+            return
+        delay = 0.0
+        if self._window_s > 0:
+            oldest = min(steps[0][4] for steps in self._pending.values())
+            delay = self._window_s - (time.perf_counter() - oldest)
+        self._flush_handle = asyncio.get_running_loop().call_later(
+            max(0.0, delay), self._spawn_flush
+        )
 
     def _spawn_flush(self) -> None:
-        batch = self._pending
-        self._pending = {}
-        if self._window_task is not None:
-            self._window_task.cancel()
-            self._window_task = None
+        """Flush now: the oldest queued step of each session not in flight."""
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        batch: dict[str, tuple] = {}
+        rest: dict[str, list[tuple]] = {}
+        for sid, steps in self._pending.items():
+            if sid in self._busy:
+                rest[sid] = steps
+                continue
+            batch[sid] = steps[0]
+            if len(steps) > 1:
+                rest[sid] = steps[1:]
+        self._pending = rest
         if not batch:
             return
-        for sid, entry in batch.items():
-            future = entry[1]
-            self._inflight[sid] = future
-
-            def _clear(done, sid=sid, future=future):
-                if self._inflight.get(sid) is future:
-                    del self._inflight[sid]
-
-            future.add_done_callback(_clear)
+        self._n_pending -= len(batch)
+        self._busy.update(batch)
+        self._running += 1
         task = asyncio.get_running_loop().create_task(self._flush(batch))
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
-
-    async def _window(self) -> None:
-        try:
-            await asyncio.sleep(self._window_s)
-        except asyncio.CancelledError:
-            return
-        self._window_task = None
-        self._spawn_flush()
 
     async def _flush(self, batch: dict[str, tuple]) -> None:
         self._batches += 1
         self._steps += len(batch)
         self._max_batch = max(self._max_batch, len(batch))
-        backend = self._backend
-        restore = self._restore
-        tracer = self._tracer
-        cells = {sid: entry[0] for sid, entry in batch.items()}
-        if tracer.enabled:
-            # Batch-wait: submit -> flush start, per member (its share
-            # of the collection window plus any flush backlog).
-            flushed_at = time.perf_counter()
-            for sid, entry in batch.items():
-                if entry[2] is not None:
-                    tracer.record(
-                        "batch_wait",
-                        entry[2],
-                        flushed_at - entry[3],
-                        session=sid,
-                        batch=len(batch),
-                    )
-
-        def _run():
-            # Restore store-parked members individually, then hand the
-            # batch to the backend, which validates each member, groups
-            # by timestamp (and by shard when sharded) and isolates
-            # errors per member / per lockstep group.
-            errors: dict[str, BaseException] = {}
-            restored: dict[str, bool] = {}
-            todo: dict[str, int] = {}
-            for sid, cell in cells.items():
-                try:
-                    restored[sid] = bool(restore(sid)) if restore else False
-                    todo[sid] = cell
-                except Exception as error:  # noqa: BLE001 - isolate per member
-                    errors[sid] = error
-            solve_started = time.perf_counter() if tracer.enabled else 0.0
-            records, step_errors = backend.step_batch(todo)
-            if tracer.enabled:
-                # One batched backend call served every member: each
-                # gets a solve span of the shared duration, tagged with
-                # the batch size so dashboards can tell it apart from a
-                # solo step.
-                solve_s = time.perf_counter() - solve_started
-                for sid in todo:
-                    trace_id = batch[sid][2]
-                    if trace_id is not None:
-                        tracer.record(
-                            "solve", trace_id, solve_s,
-                            session=sid, batch=len(todo),
-                        )
-            errors.update(step_errors)
-            return records, errors, restored
-
         try:
             records, errors, restored = await self._executor.run_batch(
-                batch.keys(), _run, self._acquisition_gate
+                batch.keys(), lambda: self._run(batch)
             )
         except BaseException as error:  # noqa: BLE001 - route to every waiter
-            for entry in batch.values():
-                future = entry[1]
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for sid, entry in batch.items():
-            future = entry[1]
-            if future.done():
+            records, errors, restored = {}, dict.fromkeys(batch, error), {}
+            if not isinstance(error, Exception):
+                raise
+        finally:
+            self._running -= 1
+            self._busy.difference_update(batch)
+            self._schedule()
+            for sid, (_, future, *_) in batch.items():
+                if self._newest.get(sid) is future:
+                    del self._newest[sid]
+                if future.done():
+                    continue
+                if sid in errors:
+                    future.set_exception(errors[sid])
+                else:
+                    future.set_result((restored[sid], records[sid]))
+
+    def _run(self, batch: dict[str, tuple]):
+        """The pool job: admit each member, then one backend call."""
+        tracer, shedder = self._tracer, self._shedder
+        started = time.perf_counter()
+        todo: dict[str, int] = {}
+        restored: dict[str, bool] = {}
+        errors: dict[str, BaseException] = {}
+        batch_trace = None  # the first traced member's
+        for sid, (cell, _, trace_id, deadline_ms, submitted) in batch.items():
+            waited = started - submitted
+            if trace_id is not None:
+                tracer.record("queue_wait", trace_id, waited, session=sid)
+            try:
+                if shedder is not None:
+                    shedder.observe(waited)
+                    shedder.check_deadline("step", deadline_ms, waited)
+                restored[sid] = bool(self._restore and self._restore(sid))
+            except Exception as error:  # noqa: BLE001 - isolate per member
+                errors[sid] = error
                 continue
-            if sid in errors:
-                future.set_exception(errors[sid])
-            else:
-                future.set_result((restored.get(sid, False), records[sid]))
+            todo[sid] = cell
+            batch_trace = batch_trace or trace_id
+        solve_started = time.perf_counter()
+        # Activate on this pool thread so a worker backend's RPC
+        # clients stamp the wire frame with the trace id.
+        token = activate(tracer, batch_trace) if batch_trace is not None else None
+        try:
+            records, step_errors = self._backend.step_batch(todo)
+        finally:
+            if batch_trace is not None:
+                deactivate(token)
+        solve_s = time.perf_counter() - solve_started
+        for sid in todo:
+            trace_id = batch[sid][2]
+            if trace_id is not None:
+                tracer.record(
+                    "solve", trace_id, solve_s, session=sid, batch=len(todo)
+                )
+        errors.update(step_errors)
+        return records, errors, restored

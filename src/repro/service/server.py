@@ -21,6 +21,15 @@ Concurrency model
   :class:`~repro.service.executor.SessionExecutor` worker pool under a
   per-session lock; all fleet bookkeeping (the LRU table, admission,
   eviction choice) happens on the event-loop thread only.
+* Every ``step`` takes one path: the
+  :class:`~repro.service.executor.StepBatcher` group-commit queue,
+  which flushes all pending steps as one batched backend call whenever
+  a pool slot is free -- at once when the server is idle, in batches
+  that grow with the load otherwise.  The flush's pool job measures
+  each member's queue wait, feeds the load shedder, sheds blown
+  deadlines, restores suspended sessions and records the member's
+  spans; tracing off (``trace=False``, or brownout) only drops the
+  spans.  Non-step operations keep :meth:`SessionExecutor.run`.
 * Past ``max_resident`` resident sessions, least-recently-used idle
   sessions are suspended through the engine's JSON checkpoint into the
   :class:`~repro.service.store.SessionStore` and restored transparently
@@ -55,7 +64,7 @@ from ..errors import (
 from ..obs.http import ObsHttpServer
 from ..obs.probe import EventLoopLagProbe
 from ..obs.registry import LatencyHistogram
-from ..obs.trace import NULL_TRACER, Tracer, activate, deactivate, new_trace_id
+from ..obs.trace import NULL_TRACER, Tracer, new_trace_id
 from ..scenario import ScenarioRegistry
 from .executor import SessionExecutor, StepBatcher
 from .metrics import ServiceMetrics
@@ -81,10 +90,11 @@ class ServerConfig:
     max_resident: int = 1_024
     max_pending_per_connection: int = 32
     workers: int | None = None  # None = cores (capped); 0 = inline
-    #: Micro-batching window in milliseconds; 0 disables.  When set,
-    #: concurrent `step` requests arriving within the window coalesce
-    #: into one batched `SessionManager.step_many` call (bit-identical
-    #: streams, bounded added latency, higher fleet throughput).
+    #: Minimum batch age in milliseconds (0 = none).  Every `step`
+    #: request is served by the group-commit queue, which batches by
+    #: itself under load; a positive value additionally holds each
+    #: flush until its oldest step has queued this long, trading that
+    #: latency for larger batches.  Streams are bit-identical either way.
     batch_window_ms: float = 0.0
     #: Capacity of the validated-scenario LRU fronting inline `open`
     #: scenarios (evicted specs are simply re-validated on their next
@@ -211,18 +221,15 @@ class ReleaseServer:
                 interval_ms=self._config.shed_interval_ms,
             ),
             metrics=self._metrics,
-            queue_depth=self._executor.queue_depth,
+            queue_depth=lambda: self._batcher.queue_depth(),
         )
-        self._batcher = (
-            StepBatcher(
-                self._backend,
-                self._executor,
-                self._config.batch_window_ms / 1e3,
-                restore=self._restore_if_suspended,
-                tracer=self._tracer,
-            )
-            if self._config.batch_window_ms > 0
-            else None
+        self._batcher = StepBatcher(
+            self._backend,
+            self._executor,
+            self._config.batch_window_ms / 1e3,
+            restore=self._restore_if_suspended,
+            tracer=self._tracer,
+            shedder=self._shedder,
         )
         # Admission registry: every open session id, resident or
         # suspended (order irrelevant).
@@ -298,8 +305,8 @@ class ReleaseServer:
         )
         registry.gauge(
             "repro_executor_queue_depth",
-            "Work items queued for the session executor",
-            fn=self._executor.queue_depth,
+            "Steps queued or in a running batch, plus jobs queued on the pool",
+            fn=self._batcher.queue_depth,
         )
         registry.gauge(
             "repro_executor_active_sessions",
@@ -308,10 +315,8 @@ class ReleaseServer:
         )
         registry.gauge(
             "repro_batch_window_occupancy",
-            "Step requests waiting in the current batch window",
-            fn=lambda: (
-                0 if self._batcher is None else self._batcher.window_occupancy()
-            ),
+            "Step requests queued for the next batch",
+            fn=self._batcher.window_occupancy,
         )
         registry.gauge(
             "repro_event_loop_lag_seconds",
@@ -611,7 +616,7 @@ class ReleaseServer:
         return await self._op_stats(request)
 
     def _measured(self, op: str, deadline_ms: int | None, fn):
-        """Wrap a pool closure to feed the shedder its measured queue wait.
+        """Wrap a non-step pool closure to feed the shedder its queue wait.
 
         The wait runs from submission to the moment the closure starts
         on a worker thread; a deadline blown by that wait sheds here,
@@ -683,51 +688,9 @@ class ReleaseServer:
     async def _op_step(self, request: Request, trace_id: str | None = None) -> dict:
         sid, cell = request.session, request.cell
         assert sid is not None and cell is not None
-
-        # Brownout bypasses the batch window: its added latency is the
-        # second overhead shed (after tracing) before any request is.
-        if self._batcher is not None and not self._shedder.brownout:
-            restored, record = await self._batcher.submit(sid, cell, trace_id)
-        elif trace_id is not None:
-            tracer = self._tracer
-            shedder = self._shedder
-            deadline_ms = request.deadline_ms
-            submitted = time.perf_counter()
-
-            def _traced_step():
-                started = time.perf_counter()
-                tracer.record("queue_wait", trace_id, started - submitted, session=sid)
-                shedder.observe(started - submitted)
-                shedder.check_deadline("step", deadline_ms, started - submitted)
-                # Activate the trace on this pool thread so the
-                # backend's RPC clients can stamp the wire frame.
-                token = activate(tracer, trace_id)
-                try:
-                    restored = self._restore_if_suspended(sid)
-                    result = restored, self._backend.step(sid, cell)
-                finally:
-                    deactivate(token)
-                tracer.record(
-                    "solve",
-                    trace_id,
-                    time.perf_counter() - started,
-                    session=sid,
-                )
-                return result
-
-            restored, record = await self._executor.run(sid, _traced_step)
-        else:
-
-            def _step():
-                restored = self._restore_if_suspended(sid)
-                # The backend validates before stepping, so both
-                # serving modes reject a bad request with the same
-                # typed error code.
-                return restored, self._backend.step(sid, cell)
-
-            restored, record = await self._executor.run(
-                sid, self._measured("step", request.deadline_ms, _step)
-            )
+        restored, record = await self._batcher.submit(
+            sid, cell, trace_id, request.deadline_ms
+        )
         if restored:
             self._metrics.record_session_event("restored")
         self._metrics.record_step(record.elapsed_s, record)
@@ -739,8 +702,7 @@ class ReleaseServer:
     async def _op_peek(self, request: Request) -> dict:
         sid = request.session
         assert sid is not None
-        if self._batcher is not None:
-            await self._batcher.barrier(sid)
+        await self._batcher.barrier(sid)
 
         def _peek():
             restored = self._restore_if_suspended(sid)
@@ -758,8 +720,7 @@ class ReleaseServer:
     async def _op_finish(self, request: Request) -> dict:
         sid = request.session
         assert sid is not None
-        if self._batcher is not None:
-            await self._batcher.barrier(sid)
+        await self._batcher.barrier(sid)
 
         def _finish():
             restored = self._restore_if_suspended(sid)
@@ -788,8 +749,7 @@ class ReleaseServer:
     async def _op_checkpoint(self, request: Request) -> dict:
         sid = request.session
         assert sid is not None
-        if self._batcher is not None:
-            await self._batcher.barrier(sid)
+        await self._batcher.barrier(sid)
 
         def _checkpoint():
             restored = self._restore_if_suspended(sid)
@@ -930,13 +890,11 @@ class ReleaseServer:
             "shards": self._backend.n_shards,
             "max_sessions": self._config.max_sessions,
             "max_resident": self._config.max_resident,
-            "queue_depth": self._executor.queue_depth(),
+            "queue_depth": self._batcher.queue_depth(),
             "active_sessions": self._executor.active_sessions,
             "metrics_port": self.metrics_port,
         }
-        snapshot["batching"] = (
-            None if self._batcher is None else self._batcher.stats()
-        )
+        snapshot["batching"] = self._batcher.stats()
         snapshot["shedding"] = self._shedder.stats()
         snapshot["solver"] = {
             "kernel": _solver_kernel_stats(),

@@ -22,10 +22,9 @@ wire layer renders as the retryable ``overloaded`` code with a
 ``retry_after_ms`` hint sized to the current drain time.
 
 Brownout: while the queue-delay trigger is active the server also
-sheds *overhead* before it sheds requests -- per-request tracing and
-the micro-batching window are bypassed (both are bit-identical
-transformations, so accepted requests still return byte-for-byte the
-same streams).
+sheds *overhead* before it sheds requests -- per-request tracing is
+dropped (a bit-identical transformation, so accepted requests still
+return byte-for-byte the same streams).
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ class LoadShedder:
 
     @property
     def brownout(self) -> bool:
-        """True while overhead (tracing, batching) should be bypassed."""
+        """True while per-request tracing should be dropped."""
         return self.level >= 1
 
     # ------------------------------------------------------------------

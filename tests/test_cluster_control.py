@@ -208,6 +208,45 @@ class TestRecoveryDrill:
             with pytest.raises(WorkerDownError):
                 sup.peek_budget(doomed[0])
 
+    def test_batched_steps_see_the_loss_and_the_recovery_lock(self):
+        """``step_batch`` (every served step) behaves like a solo step:
+        a lost member gets its typed loss, and a member whose session
+        lock recovery holds waits for it instead of racing the replay."""
+        with make_supervisor(
+            MemorySessionStore(), checkpoint_every=0
+        ) as sup:
+            for i in range(24):
+                sup.open(f"u{i}", seed=i)
+                sup.step(f"u{i}", 3)
+            victim = sup.backend.shard_stats()[0]["worker"]
+            doomed = sorted(
+                f"u{i}" for i in range(24)
+                if sup.backend.assignment_of(f"u{i}") == victim
+            )
+            survivors = [f"u{i}" for i in range(24) if f"u{i}" not in doomed]
+            assert len(doomed) >= 2 and len(survivors) >= 2
+            kill_worker(sup, victim)
+            with pytest.raises(WorkerDownError, match="no durable"):
+                sup.step(doomed[0], 2)
+
+            records, errors = sup.step_batch({doomed[1]: 2, survivors[0]: 2})
+            assert isinstance(errors[doomed[1]], WorkerDownError)
+            assert "no durable" in str(errors[doomed[1]])
+            assert records[survivors[0]].t == 2
+
+            out = []
+            with sup._session_op(survivors[1]):
+                batch = threading.Thread(
+                    target=lambda: out.append(sup.step_batch({survivors[1]: 2}))
+                )
+                batch.start()
+                batch.join(0.3)
+                assert batch.is_alive() and not out
+            batch.join(10)
+            assert not batch.is_alive()
+            records, errors = out[0]
+            assert not errors and records[survivors[1]].t == 2
+
     def test_explicit_checkpoints_bound_the_damage(self, tmp_path):
         """checkpoint_every=0 still recovers sessions with an explicit
         `checkpoint` snapshot: replay resumes from the snapshot."""

@@ -1,22 +1,36 @@
-"""Micro-batched serving (``--batch-window-ms``): identity and ordering.
+"""Batched serving: identity, ordering and the group-commit queue.
 
-A server with a batch window coalesces concurrent step requests onto
-``SessionManager.step_many``; the served release streams must stay
-bit-identical to an unbatched server and to driving the manager
-directly, per-session ordering must survive same-session bursts, and a
-bad request must fail alone without poisoning its batch.
+Every served step goes through the group-commit queue onto
+``SessionManager.step_many`` (``--batch-window-ms`` only sets a minimum
+batch age); the served release streams must stay bit-identical to a
+server without a window and to driving the manager directly,
+per-session ordering must survive same-session bursts, and a bad
+request or a faulting session must fail alone without poisoning its
+batch.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.engine import SessionBuilder, SessionManager
-from repro.errors import SessionError
+from repro.engine import SessionBuilder, SessionManager, StaticMechanismProvider
+from repro.errors import QuantificationError, SessionError
+from repro.geo.grid import GridMap
 from repro.lppm.planar_laplace import PlanarLaplaceMechanism
 from repro.markov.simulate import sample_trajectory
 from repro.service import AsyncServiceClient, ReleaseServer, ServerConfig
+
+from topology import (
+    HORIZON,
+    direct_records,
+    make_builder,
+    make_manager,
+    make_trajectories,
+    strip_elapsed,
+)
 
 
 def strip_json(record):
@@ -289,3 +303,132 @@ class TestBatchOrderingUnderContention:
         t_after_barrier, record = asyncio.run(run())
         assert t_after_barrier == 2, "barrier returned before the step applied"
         assert record.t == 1
+
+
+async def _until(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+class TestGroupCommitQueue:
+    """Every served step goes through the group-commit queue."""
+
+    def test_sequential_steps_on_an_idle_server_never_wait_for_company(self):
+        async def run():
+            server = ReleaseServer(make_manager(), config=ServerConfig(workers=2))
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("u0", seed=1)
+            for cell in range(HORIZON):
+                await client.step("u0", cell)
+            stats = await client.stats()
+            await client.close()
+            await server.drain()
+            return stats["batching"]
+
+        batching = asyncio.run(run())
+        assert batching["steps"] == HORIZON
+        assert batching["batches"] == batching["steps"]
+        assert batching["window_ms"] == 0.0
+
+    def test_queued_steps_count_as_queue_depth_and_hold_the_overload(self):
+        """workers=1 with the pool thread held inside a batch: the steps
+        queued behind it show in ``repro_executor_queue_depth``, and the
+        shedder's drained check sees them, so an overload stands."""
+
+        async def run():
+            server = ReleaseServer(make_manager(), config=ServerConfig(workers=1))
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i in range(4):
+                await client.open(f"u{i}", seed=i)
+            release = threading.Event()
+            step_batch = server._backend.step_batch
+
+            def held(cells):
+                release.wait(10)
+                return step_batch(cells)
+
+            server._backend.step_batch = held
+            steps = [asyncio.ensure_future(client.step("u0", 1))]
+            await _until(lambda: server._batcher.stats()["inflight"] == 1)
+            steps += [
+                asyncio.ensure_future(client.step(f"u{i}", 1)) for i in (1, 2, 3)
+            ]
+            await _until(lambda: server._batcher.window_occupancy() == 3)
+            exposition = server.metrics.registry.render()
+            shedder = server._shedder
+            now = time.perf_counter()
+            with shedder._lock:
+                shedder._delay_ewma_s = 0.5
+                shedder._last_observe = now
+                shedder._above_since = now - 3.0
+            level = shedder.level
+            release.set()
+            records = await asyncio.gather(*steps)
+            await client.close()
+            await server.drain()
+            return exposition, level, records
+
+        exposition, level, records = asyncio.run(run())
+        depth = next(
+            float(line.split()[-1])
+            for line in exposition.splitlines()
+            if line.startswith("repro_executor_queue_depth ")
+        )
+        assert depth >= 3
+        assert level == 2
+        assert [record["t"] for record in records] == [1, 1, 1, 1]
+
+    def test_a_faulting_member_fails_alone(self):
+        """One session's engine error inside a shared ``step_many``
+        fails that request only; its batch-mates release exactly the
+        direct streams."""
+        trajectories = make_trajectories(4)
+        reference = direct_records(trajectories)
+        lppm = PlanarLaplaceMechanism(GridMap(4, 4, cell_size_km=1.0), 0.5)
+
+        class FaultAtThree(StaticMechanismProvider):
+            def base_mechanism(self, t):
+                if t == 3:
+                    raise QuantificationError("injected provider fault")
+                return super().base_mechanism(t)
+
+        providers = iter(
+            [StaticMechanismProvider(lppm), FaultAtThree(lppm)]
+            + [StaticMechanismProvider(lppm)] * 2
+        )
+        builder = make_builder().with_provider_factory(lambda: next(providers))
+
+        async def run():
+            server = ReleaseServer(
+                SessionManager(builder),
+                config=ServerConfig(batch_window_ms=20.0, workers=2),
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate(trajectories):
+                await client.open(name, seed=1000 + i)
+            served = {name: [] for name in trajectories}
+            for t in range(HORIZON):
+                names = [n for n in trajectories if not (n == "u1" and t > 2)]
+                results = await asyncio.gather(
+                    *[client.step(n, trajectories[n][t]) for n in names],
+                    return_exceptions=True,
+                )
+                for name, result in zip(names, results):
+                    served[name].append(result)
+            stats = await client.stats()
+            await client.close()
+            await server.drain()
+            return served, stats
+
+        served, stats = asyncio.run(run())
+        assert stats["batching"]["max_batch"] == 4
+        fault = served["u1"][2]
+        assert isinstance(fault, QuantificationError), fault
+        assert [strip_elapsed(r) for r in served["u1"][:2]] == reference["u1"][:2]
+        for name in ("u0", "u2", "u3"):
+            assert [strip_elapsed(r) for r in served[name]] == reference[name]

@@ -323,7 +323,10 @@ class TestCheckpointOpAndStats:
         assert stats["requests"]["step"] == 1
         assert stats["step_latency"]["count"] == 1
         assert stats["step_latency"]["p99_ms"] > 0
-        assert stats["verdict_cache"]["hits"] + stats["verdict_cache"]["misses"] > 0
+        # Served steps run through step_many, which bypasses the verdict
+        # cache; the section keeps its keys.
+        assert stats["verdict_cache"]["hits"] + stats["verdict_cache"]["misses"] == 0
+        assert stats["batching"]["steps"] == 1
         assert stats["server"]["draining"] is False
 
 

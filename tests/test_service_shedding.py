@@ -335,6 +335,49 @@ class TestServedShedding:
         assert record["t"] == 1
         assert shed.get("step|deadline", 0) == 1
 
+    def test_batch_member_past_its_deadline_is_shed_alone(self):
+        """A step that waits out a 50 ms batch age past its 10 ms
+        deadline is shed in the flush, before it runs; its batch-mate
+        releases, and the shed step's retry keeps the stream exact."""
+        trajectories = make_trajectories(2)
+        reference = direct_records(trajectories)
+
+        async def run():
+            server = await start_server(batch_window_ms=50.0)
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate(trajectories):
+                await client.open(name, seed=1000 + i)
+            served = {name: [] for name in trajectories}
+            shed_error = None
+            for t in range(HORIZON):
+                cells = {name: trajectory[t] for name, trajectory in trajectories.items()}
+                if t == 2:
+                    tight = asyncio.ensure_future(
+                        client.step("u0", cells["u0"], deadline_ms=10)
+                    )
+                    await asyncio.sleep(0.01)  # u0 queued first, u1 joins
+                    other = await client.step("u1", cells["u1"])
+                    with pytest.raises(OverloadedError) as info:
+                        await tight
+                    shed_error = info.value
+                    served["u1"].append(other)
+                    served["u0"].append(await client.step("u0", cells["u0"]))
+                    continue
+                for name, cell in cells.items():
+                    served[name].append(await client.step(name, cell))
+            shed = server._metrics.snapshot()["shed"]
+            await client.close()
+            await server.drain()
+            return served, shed, shed_error
+
+        served, shed, shed_error = asyncio.run(run())
+        assert "waited" in str(shed_error), shed_error
+        assert shed == {"step|deadline": 1}
+        for name, expected in reference.items():
+            assert [strip_elapsed(r) for r in served[name]] == [
+                strip_elapsed(r) for r in expected
+            ]
+
     def test_finish_survives_overload(self):
         """`finish` is never shed by queue delay: completing sessions
         reduces load, so it must stay possible under brownout."""

@@ -1,10 +1,13 @@
-"""Shared infrastructure for the experiment benchmarks.
+"""Shared infrastructure for the paper suite and the service-load bench.
 
-Each ``bench_*`` module regenerates one of the paper's tables/figures
-(DESIGN.md §3 maps them).  The reproduced series are printed to stdout
-*and* written under ``benchmarks/results/`` so the textual figures
-survive pytest's output capture; the ``benchmark`` fixture additionally
-times a representative unit of each experiment.
+Each paper-suite module (``bench_fig*``, ``bench_table3_*``,
+``bench_ablation_*``, ``bench_appendix_*``, ``bench_extension_*``)
+regenerates one of the paper's tables/figures; ``paper/README.md`` maps
+each to the claim its test asserts.  The reproduced series are printed
+to stdout *and* written under the untracked ``benchmarks/results/`` so
+the textual figures survive pytest's output capture (``paper/results/``
+keeps one committed run); the ``benchmark`` fixture additionally times
+a representative unit of each experiment.
 
 Run counts here are deliberately smaller than the paper's 100 (recorded
 in every result header); pass ``--paper-scale`` for full-size runs.

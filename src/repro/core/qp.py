@@ -348,9 +348,12 @@ def _solve_stack_numpy(
     allow_exit = not limited and not options.exhaustive
 
     # Vertex scan: f(e_j) = u_j v_j + w_j, all K conditions in two passes.
+    # The best value is read at the first maximum, not taken from
+    # ``ev.max``: among equal +0.0 and -0.0 the reduction may return
+    # either, and the native kernel keeps the first.
     ev = U * V + W
-    best_value = ev.max(axis=1)
     best_vertex = ev.argmax(axis=1)
+    best_value = ev[np.arange(K), best_vertex]
     best_edge_i = np.full(K, -1, dtype=np.int64)
     best_edge_j = np.full(K, -1, dtype=np.int64)
     n_evals = np.full(K, m, dtype=np.int64)
@@ -448,7 +451,7 @@ def _solve_stack_numpy(
                         k = int(alive[pos])
                         flat = int(np.argmax(val[pos]))
                         ri, jj = divmod(flat, w)
-                        best_value[k] = float(block_best[pos])
+                        best_value[k] = float(val[pos, ri, jj])
                         best_edge_i[k] = r0 + ri
                         best_edge_j[k] = r0 + 1 + jj
                     if allow_exit:

@@ -3,9 +3,10 @@
 Sleeps ``interval_s`` on the loop and measures how much later than
 requested it actually woke -- the excess is scheduling lag, the single
 best proxy for "the event loop is starved" (by slow callbacks, GIL
-pressure from worker threads, or plain CPU saturation).  This used to
-live inside ``bench_service_load`` only; now any serving process can
-run one and export current/max lag as gauges.
+pressure from worker threads, or plain CPU saturation).  Every serving
+process runs one and exports current/max lag as the
+``repro_event_loop_lag_seconds`` / ``repro_event_loop_lag_max_seconds``
+gauges.
 """
 
 from __future__ import annotations

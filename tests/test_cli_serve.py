@@ -6,10 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.errors import SessionError
+from repro.scenario import ChainSpec, EventSpec, GridSpec, MechanismSpec, ScenarioSpec
 from repro.service import ServiceClient
 
 from topology import strip_elapsed
@@ -22,10 +25,14 @@ ENGINE_FLAGS = [
 ]
 
 
-def start_serve(tmp_path, *extra):
-    """``repro serve`` on an ephemeral port with a directory store."""
+def repro_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def start_serve(tmp_path, *extra):
+    """``repro serve`` on an ephemeral port with a directory store."""
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve", "--port", "0",
@@ -33,8 +40,76 @@ def start_serve(tmp_path, *extra):
             "--store", "dir", "--store-path", str(tmp_path / "sessions"),
             *extra,
         ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=repro_env(),
     )
+
+
+def start_worker():
+    """``repro worker`` on an ephemeral port (read its banner for the port)."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--listen", "127.0.0.1:0", *ENGINE_FLAGS,
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=repro_env(),
+    )
+
+
+def repro_cluster(address: str, *args) -> dict:
+    """One ``repro cluster ADDR ...`` invocation's JSON reply."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "cluster", address, *args],
+        capture_output=True, text=True, env=repro_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def readyz(metrics_port: int) -> int:
+    try:
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{metrics_port}/readyz", timeout=10
+        ) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+#: An inline tenant scenario on the same 4x4 map, at another epsilon.
+TENANT = ScenarioSpec(
+    grid=GridSpec(rows=4, cols=4),
+    chain=ChainSpec.gaussian(sigma=1.0),
+    events=(EventSpec.presence_range(0, 5, start=2, end=4),),
+    mechanism=MechanismSpec("planar_laplace", {"alpha": 0.5}),
+    epsilon=0.8,
+    horizon=6,
+)
+
+
+def wait_ready(metrics_port: int, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while readyz(metrics_port) != 200:
+        assert time.monotonic() < deadline, "readyz never returned to 200"
+        time.sleep(0.1)
+
+
+def reference_streams(names, cells, scenarios=None) -> dict:
+    """The streams an in-process manager with the served engine flags
+    releases, session ``i`` seeded ``i`` (on ``scenarios[name]`` if set)."""
+    import argparse
+
+    from repro import cli
+
+    parser = argparse.ArgumentParser()
+    cli._add_engine_flags(parser)
+    reference = cli._stream_manager(parser.parse_args(ENGINE_FLAGS))
+    for i, name in enumerate(names):
+        reference.open(name, rng=i, scenario=(scenarios or {}).get(name))
+    return {
+        name: [strip_elapsed(reference.step(name, c).to_json()) for c in cells[name]]
+        for name in names
+    }
 
 
 @pytest.fixture
@@ -172,21 +247,9 @@ class TestShardedServeProcess:
     def test_killed_worker_recovers_bit_identically(self, tmp_path):
         """SIGKILL a ``--shards`` worker mid-stream: checkpoint-replay
         recovery continues every stream exactly, losing nothing."""
-        import argparse
-
-        from repro import cli
-
-        parser = argparse.ArgumentParser()
-        cli._add_engine_flags(parser)
-        reference = cli._stream_manager(parser.parse_args(ENGINE_FLAGS))
         names = [f"u{i}" for i in range(6)]
         cells = {name: [(t + i) % 16 for t in range(6)] for i, name in enumerate(names)}
-        for i, name in enumerate(names):
-            reference.open(name, rng=i)
-        expected = {
-            name: [strip_elapsed(reference.step(name, c).to_json()) for c in cells[name]]
-            for name in names
-        }
+        expected = reference_streams(names, cells)
 
         proc = start_serve(tmp_path, "--shards", "2", "--checkpoint-every", "2")
         try:
@@ -244,3 +307,117 @@ class TestShardedServeProcess:
         assert proc.returncode == 2
         assert "cluster worker failed to start" in err
         assert processes_mentioning(str(failing / "sessions")) == []
+
+
+class TestClusterProcess:
+    def test_standby_and_cluster_cli_repair_over_tcp_workers(self, tmp_path):
+        """``repro serve --backend ... --standby ...`` over real ``repro
+        worker`` processes, half the fleet on a ``--scenario`` file's spec:
+        a killed member is replaced by the standby, a second death is
+        repaired with ``repro cluster ADDR status|leave|join``, a live
+        member is drained, and every stream stays bit-identical to
+        in-process."""
+        names = [f"u{i}" for i in range(6)]
+        cells = {name: [(t + i) % 16 for t in range(6)] for i, name in enumerate(names)}
+        scenarios = {name: TENANT if i % 2 else None for i, name in enumerate(names)}
+        expected = reference_streams(names, cells, scenarios)
+        tenant_file = tmp_path / "tenant.json"
+        tenant_file.write_text(json.dumps(TENANT.to_json()))
+        procs = [start_worker() for _ in range(4)]
+        proc = None
+        try:
+            pids = {}
+            for worker in procs:
+                banner = json.loads(worker.stdout.readline())
+                pids[f"tcp://127.0.0.1:{banner['port']}"] = worker.pid
+            first, second, standby, fresh = pids
+            proc = start_serve(
+                tmp_path, "--backend", f"{first},{second}", "--standby", standby,
+                "--scenario", str(tenant_file), "--checkpoint-every", "1",
+                "--metrics-port", "0",
+            )
+            banner = json.loads(proc.stdout.readline())
+            assert banner["standbys"] == 1
+            address = f"127.0.0.1:{banner['port']}"
+            streams = {name: [] for name in names}
+
+            def wave(client, t):
+                for name in names:
+                    streams[name].append(strip_elapsed(client.step(name, cells[name][t])))
+
+            def kill_busiest(client):
+                """SIGKILL the member holding the most (so at least 3) sessions:
+                the next wave's RPCs to it fail, which starts recovery."""
+                rows = client.cluster_status()["workers"]
+                victim = max(rows, key=lambda row: row["sessions"])["worker"]
+                os.kill(pids[victim], signal.SIGKILL)
+                return victim
+
+            status = repro_cluster(address, "status")
+            assert [(w["worker"], w["pid"], w["alive"]) for w in status["workers"]] == [
+                (first, pids[first], True), (second, pids[second], True),
+            ]
+            assert [row["worker"] for row in status["standbys"]] == [standby]
+            with ServiceClient("127.0.0.1", banner["port"], timeout=60.0) as client:
+                for i, name in enumerate(names):
+                    spec = scenarios[name]
+                    client.open(name, seed=i, scenario=spec and spec.to_json())
+                wave(client, 0)
+                wave(client, 1)
+                # a dead member heals onto the standby, which joins the fleet
+                kill_busiest(client)
+                wave(client, 2)
+                recovery = client.stats()["recovery"]
+                assert recovery["standby_promotions"] == 1
+                assert recovery["standbys_pooled"] == 0
+                wait_ready(banner["metrics_port"])
+                # no standby left: the next corpse stays visible, unready
+                corpse = kill_busiest(client)
+                wave(client, 3)
+                assert readyz(banner["metrics_port"]) == 503
+                left = repro_cluster(address, "leave", corpse)
+                assert left["lost"] == []
+                joined = repro_cluster(address, "join", fresh)
+                assert len(joined["workers"]) == 2 and fresh in joined["workers"]
+                wait_ready(banner["metrics_port"])
+                wave(client, 4)
+                # drain a live member: its sessions move, none is dropped
+                on_fresh = {w["worker"]: w["sessions"] for w in client.cluster_status()["workers"]}
+                moved = client.migrate(fresh)
+                assert moved["migrated"] == on_fresh[fresh]
+                wave(client, 5)
+                status = client.cluster_status()
+                for name in names:
+                    client.finish(name)
+                stats = client.stats()
+            assert streams == expected
+            assert status["recovery"]["sessions_lost"] == 0
+            tenant = stats["scenarios"]["counters"][TENANT.digest()]
+            assert (tenant["opened"], tenant["steps"]) == (3, 18)
+            sessions = stats["sessions"]
+            assert sessions["finished"] == len(names)
+            assert sessions["migrated"] == sum(
+                summary["migrated"] for summary in (left, joined, moved)
+            )
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{banner['metrics_port']}/metrics", timeout=10
+            ) as response:
+                samples = dict(
+                    line.rsplit(" ", 1) for line in response.read().decode().splitlines()
+                    if line and not line.startswith("#")
+                )
+            assert float(samples['repro_recoveries_total{kind="worker"}']) >= 2
+            assert float(samples['repro_recoveries_total{kind="session"}']) >= 1
+            assert float(samples["repro_standby_promotions_total"]) == 1
+            assert float(samples['repro_failures_total{kind="sessions_lost"}']) == 0
+        finally:
+            if proc is not None:
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=30)
+            for worker in procs:
+                worker.kill()
+                worker.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        drained = json.loads(out.strip().splitlines()[-1])
+        assert drained["op"] == "drained"
+        assert drained["sessions_lost"] == 0

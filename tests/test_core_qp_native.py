@@ -96,6 +96,16 @@ def _condition_families(rng, m):
         w = rng.normal(size=m)
         w[0] = np.nan
         families["nan"] = _trusted(rng.normal(size=m), rng.normal(size=m), w)
+    # non-zeros in one narrow window, the shape Theorem IV.1 produces on
+    # lazy-walk and trace-trained chains
+    window = np.zeros(m)
+    start = int(rng.integers(0, m))
+    window[start:start + 5] = 1.0
+    families["banded"] = _trusted(
+        window * rng.uniform(size=m),
+        window * rng.normal(size=m),
+        window * (rng.normal(size=m) - 4.0),
+    )
     return families
 
 
@@ -127,7 +137,7 @@ def assert_results_identical(a, b):
 
 @needs_native
 class TestBitIdentity:
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 64, 256])
     def test_native_equals_numpy_equals_scalar(self, m):
         rng = np.random.default_rng(1000 + m)
         conditions = list(_condition_families(rng, m).values())
@@ -140,6 +150,8 @@ class TestBitIdentity:
                 conditions, batch_native, batch_numpy
             ):
                 assert_results_identical(rn, rp)
+                if options.exhaustive:  # the whole O(m^2) vertex + edge sweep
+                    assert rn.n_evaluations == m + m * (m - 1) // 2
                 # the scalar K=1 front end, on both kernels
                 assert_results_identical(
                     rn, maximize_rank_one_simplex(condition, native_opts)
@@ -218,6 +230,11 @@ class TestKernelSelection:
         try:
             assert not native.native_available()
             assert native.native_detail()["state"] == "disabled"
+            # what a compiler-less host reports as its default kernel
+            monkeypatch.delenv(KERNEL_ENV, raising=False)
+            stats = kernel_stats()
+            assert stats["native_state"] == "disabled"
+            assert stats["kernel"] == "numpy"
             with pytest.raises(SolverError, match="native"):
                 resolve_kernel(SolverOptions(kernel="native"))
             # auto degrades silently to numpy

@@ -164,6 +164,7 @@ class TestCliStatsAndTop:
         assert result.returncode == 0, result.stderr
         assert result.stdout.count("repro top —") == 2
         assert "sessions  open=1" in result.stdout
+        assert "steps/s=" in result.stdout
 
         # the serve process's /metrics agrees with the stats op
         with urllib.request.urlopen(
@@ -171,7 +172,12 @@ class TestCliStatsAndTop:
         ) as response:
             text = response.read().decode()
         assert 'repro_requests_total{op="step"} 3' in text
-        assert "repro_spans_total" in text
+        spans_total = next(
+            line for line in text.splitlines() if line.startswith("repro_spans_total ")
+        )
+        assert float(spans_total.split()[-1]) > 0
+        types = [line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")]
+        assert len(types) == len(set(types)), types
 
     def test_stats_against_nothing_fails_cleanly(self):
         env = dict(os.environ)

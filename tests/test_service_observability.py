@@ -16,6 +16,7 @@ the event-loop thread would deadlock against the in-loop listener.
 """
 
 import asyncio
+import re
 import urllib.error
 import urllib.request
 
@@ -30,7 +31,7 @@ from repro.service import (
 
 from topology import kill_worker, make_builder, make_manager
 
-#: Families the CI smoke greps for; keep in sync with .github/workflows.
+#: Families every served ``/metrics`` exposition must carry.
 REQUIRED_FAMILIES = (
     "repro_requests_total",
     "repro_errors_total",
@@ -221,6 +222,17 @@ class TestExpositionAndProbes:
                 # labelled by worker address
                 for address in server._backend.worker_addresses():
                     assert f'repro_worker_up{{worker="{address}"}} 1' in text
+                    assert (
+                        f'repro_worker_heartbeat_age_seconds{{worker="{address}"}}'
+                        in text
+                    )
+                # the per-worker extras never repeat a family
+                types = [
+                    line.split()[2]
+                    for line in text.splitlines()
+                    if line.startswith("# TYPE ")
+                ]
+                assert len(types) == len(set(types)), types
                 assert "repro_worker_rpc_latency_seconds_bucket" in text
                 assert 'repro_requests_total{op="step"} 3' in text
                 # loss counters present at zero before anything dies
@@ -258,7 +270,13 @@ class TestExpositionAndProbes:
                 assert front["sparse_models"] + front["dense_models"] >= 1
                 status, text = await _get(server.metrics_port, "/metrics")
                 assert status == 200
-                assert 'repro_solver_kernel_info{kernel="' in text
+                # an identity gauge: value 1, the kernel in its labels
+                assert re.search(
+                    r'^repro_solver_kernel_info\{kernel="(native|numpy)",'
+                    r'native_state="[a-z-]+"\} 1(\.0)?$',
+                    text,
+                    re.MULTILINE,
+                ), text
             finally:
                 await server.drain()
 

@@ -32,6 +32,7 @@ from repro.service import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.shedding import SHED_PRIORITY
 
+from test_service_observability import _get
 from test_service_server import (
     HORIZON,
     direct_records,
@@ -214,19 +215,30 @@ def force_overload(server: ReleaseServer, interval_ms: float = 60.0) -> None:
 class TestServedShedding:
     def test_shed_step_is_typed_and_retryable_on_the_wire(self):
         async def run():
-            server = await start_server()
+            server = await start_server(metrics_port=0)
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
             await client.open("u0", seed=1)
             force_overload(server)
             with pytest.raises(OverloadedError) as info:
                 await client.step("u0", 3)
+            # shedding keeps the server ready, and the shed is exported
+            ready, _ = await _get(server.metrics_port, "/readyz")
+            _, text = await _get(server.metrics_port, "/metrics")
             await client.close()
             await server.drain()
-            return info.value
+            return info.value, ready, text
 
-        error = asyncio.run(run())
+        error, ready, text = asyncio.run(run())
         assert error.retry_after_ms is not None
         assert 50 <= error.retry_after_ms <= 10_000
+        assert ready == 200
+        sheds = [
+            float(line.split()[-1])
+            for line in text.splitlines()
+            if line.startswith("repro_shed_total{")
+        ]
+        assert sum(sheds) >= 1
+        assert "repro_overload_level" in text
 
     def test_retried_shed_stream_stays_bit_identical(self):
         """A shed mid-stream, healed by the client's RetryPolicy, leaves

@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import HashRing
 from repro.errors import SessionError
 from repro.scenario import ChainSpec, EventSpec, GridSpec, MechanismSpec, ScenarioSpec
 from repro.service import ServiceClient
@@ -44,16 +45,48 @@ def start_serve(tmp_path, *extra):
     )
 
 
-def start_worker():
-    """``repro worker`` on an ephemeral port (read its banner for the port)."""
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--listen", "127.0.0.1:0", *ENGINE_FLAGS,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env=repro_env(),
-    )
+def stop(proc, sig=signal.SIGINT):
+    """Send ``sig`` and collect ``proc``'s output; a drain that hangs is
+    killed, so the test fails instead of leaking the process."""
+    proc.send_signal(sig)
+    try:
+        return proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+
+
+@pytest.fixture
+def spawn_workers():
+    """Starts standalone ``repro worker`` processes, one per argument
+    (that worker's extra flags), and returns ``{tcp address: process}``.
+    They are children of the test, not of the server, so no parent
+    watchdog stops them: teardown kills every one."""
+    procs = []
+
+    def spawn(*flags):
+        started = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "worker",
+                    "--listen", "127.0.0.1:0", *ENGINE_FLAGS, *extra,
+                ],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                env=repro_env(),
+            )
+            for extra in flags
+        ]
+        procs.extend(started)
+        return {
+            f"tcp://127.0.0.1:{json.loads(proc.stdout.readline())['port']}": proc
+            for proc in started
+        }
+
+    yield spawn
+    for proc in procs:
+        proc.kill()
+        proc.communicate(timeout=10)
 
 
 def repro_cluster(address: str, *args) -> dict:
@@ -167,8 +200,7 @@ class TestServeProcess:
                 record = client.step("carry", 5)  # adopted, no open needed
                 assert record["t"] == first["t"] + 1
         finally:
-            proc2.send_signal(signal.SIGINT)
-            proc2.communicate(timeout=30)
+            stop(proc2)
             assert proc2.returncode == 0
 
 
@@ -234,8 +266,7 @@ class TestShardedServeProcess:
                 for i in range(6):
                     assert client.step(f"u{i}", i)["t"] == 4
         finally:
-            proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=30)
+            out, err = stop(proc)
             assert proc.returncode == 0, err
         drained = json.loads(out.strip().splitlines()[-1])
         assert drained["op"] == "drained"
@@ -273,8 +304,7 @@ class TestShardedServeProcess:
             assert recovery["sessions_lost"] == 0
             assert recovery["sessions_recovered"] == victim["sessions"]
         finally:
-            proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=30)
+            out, err = stop(proc, signal.SIGTERM)
             assert proc.returncode == 0, err
         assert json.loads(out.strip().splitlines()[-1])["sessions_lost"] == 0
 
@@ -282,7 +312,7 @@ class TestShardedServeProcess:
     def test_no_worker_outlives_its_server(self, tmp_path):
         """Neither a SIGTERM drain, a SIGKILLed server nor a failing
         factory leaves a spawned worker process running."""
-        for stop, code in ((signal.SIGTERM, 0), (signal.SIGKILL, -signal.SIGKILL)):
+        for sig, code in ((signal.SIGTERM, 0), (signal.SIGKILL, -signal.SIGKILL)):
             proc = start_serve(tmp_path, "--shards", "2")
             try:
                 banner = json.loads(proc.stdout.readline())
@@ -291,14 +321,13 @@ class TestShardedServeProcess:
                 pids = [row["pid"] for row in workers]
                 assert len(pids) == 2 and all(map(process_alive, pids))
             finally:
-                proc.send_signal(stop)
-                _, err = proc.communicate(timeout=30)
+                _, err = stop(proc, sig)
             assert proc.returncode == code, err
             # orphans notice their parent is gone within a second or so
             deadline = time.monotonic() + 10.0
             while any(map(process_alive, pids)) and time.monotonic() < deadline:
                 time.sleep(0.1)
-            assert not [pid for pid in pids if process_alive(pid)], stop
+            assert not [pid for pid in pids if process_alive(pid)], sig
 
         # An event region past the 4x4 map fails inside every worker.
         failing = tmp_path / "failing"
@@ -310,7 +339,9 @@ class TestShardedServeProcess:
 
 
 class TestClusterProcess:
-    def test_standby_and_cluster_cli_repair_over_tcp_workers(self, tmp_path):
+    def test_standby_and_cluster_cli_repair_over_tcp_workers(
+        self, tmp_path, spawn_workers
+    ):
         """``repro serve --backend ... --standby ...`` over real ``repro
         worker`` processes, half the fleet on a ``--scenario`` file's spec:
         a killed member is replaced by the standby, a second death is
@@ -323,19 +354,17 @@ class TestClusterProcess:
         expected = reference_streams(names, cells, scenarios)
         tenant_file = tmp_path / "tenant.json"
         tenant_file.write_text(json.dumps(TENANT.to_json()))
-        procs = [start_worker() for _ in range(4)]
-        proc = None
+        pids = {
+            address: worker.pid
+            for address, worker in spawn_workers([], [], [], []).items()
+        }
+        first, second, standby, fresh = pids
+        proc = start_serve(
+            tmp_path, "--backend", f"{first},{second}", "--standby", standby,
+            "--scenario", str(tenant_file), "--checkpoint-every", "1",
+            "--metrics-port", "0",
+        )
         try:
-            pids = {}
-            for worker in procs:
-                banner = json.loads(worker.stdout.readline())
-                pids[f"tcp://127.0.0.1:{banner['port']}"] = worker.pid
-            first, second, standby, fresh = pids
-            proc = start_serve(
-                tmp_path, "--backend", f"{first},{second}", "--standby", standby,
-                "--scenario", str(tenant_file), "--checkpoint-every", "1",
-                "--metrics-port", "0",
-            )
             banner = json.loads(proc.stdout.readline())
             assert banner["standbys"] == 1
             address = f"127.0.0.1:{banner['port']}"
@@ -411,13 +440,64 @@ class TestClusterProcess:
             assert float(samples["repro_standby_promotions_total"]) == 1
             assert float(samples['repro_failures_total{kind="sessions_lost"}']) == 0
         finally:
-            if proc is not None:
-                proc.send_signal(signal.SIGINT)
-                out, err = proc.communicate(timeout=30)
-            for worker in procs:
-                worker.kill()
-                worker.communicate(timeout=10)
+            out, err = stop(proc)
         assert proc.returncode == 0, err
         drained = json.loads(out.strip().splitlines()[-1])
         assert drained["op"] == "drained"
         assert drained["sessions_lost"] == 0
+
+    def test_armed_member_dies_at_its_step_and_heals(self, tmp_path, spawn_workers):
+        """``repro worker --fault-plan FILE`` dies before acknowledging its
+        5th step (exit 137): its sessions heal onto the other member and
+        the standby replaces it.  One of them runs a spec no
+        ``--scenario`` file allowlists (``--allow-any-scenario``), and the
+        router's ``--workers`` and shedding flags reach its stats."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"kill_at_step": 5}))
+        fleet = spawn_workers(["--fault-plan", str(plan)], [], [])
+        armed, other, standby = fleet
+        # Placement is a pure function of the member addresses: pick two
+        # sessions the armed member owns and one the other member owns,
+        # so its 5th step is the first of wave 2.
+        ring = HashRing([armed, other])
+        candidates = [f"s{i}" for i in range(64)]
+        names = [n for n in candidates if ring.owner(n) == armed][:2]
+        names.append(next(n for n in candidates if ring.owner(n) == other))
+        cells = {name: [(3 * t + i) % 16 for t in range(4)] for i, name in enumerate(names)}
+        scenarios = {names[0]: TENANT}
+        expected = reference_streams(names, cells, scenarios)
+        proc = start_serve(
+            tmp_path, "--backend", f"{armed},{other}", "--standby", standby,
+            "--checkpoint-every", "1", "--allow-any-scenario", "--workers", "1",
+            "--shed-target-ms", "250", "--shed-interval-ms", "4000",
+        )
+        try:
+            banner = json.loads(proc.stdout.readline())
+            assert banner["allow_any_scenario"] is True
+            streams = {name: [] for name in names}
+            with ServiceClient("127.0.0.1", banner["port"], timeout=60.0) as client:
+                for i, name in enumerate(names):
+                    spec = scenarios.get(name)
+                    client.open(name, seed=i, scenario=spec and spec.to_json())
+                placed = {w["worker"]: w["sessions"] for w in client.cluster_status()["workers"]}
+                assert placed == {armed: 2, other: 1}
+                for t in range(4):
+                    for name in names:
+                        streams[name].append(
+                            strip_elapsed(client.step(name, cells[name][t]))
+                        )
+                stats = client.stats()
+            assert fleet[armed].wait(timeout=10) == 137
+        finally:
+            out, err = stop(proc)
+        assert proc.returncode == 0, err
+        assert streams == expected
+        recovery = stats["recovery"]
+        assert recovery["sessions_recovered"] == 2
+        assert recovery["standby_promotions"] == 1
+        assert recovery["sessions_lost"] == 0
+        assert stats["scenarios"]["counters"][TENANT.digest()]["opened"] == 1
+        assert stats["server"]["workers"] == 1
+        shedding = stats["shedding"]
+        assert (shedding["target_ms"], shedding["interval_ms"]) == (250, 4000)
+        assert json.loads(out.strip().splitlines()[-1])["sessions_lost"] == 0

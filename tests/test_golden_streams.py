@@ -6,25 +6,25 @@ native kernel against NumPy.  A change to code both paths share -- how
 ``_StepDriver`` draws from the session RNG, say -- passes all of them.
 This module pins the streams themselves.  For every scenario below a
 small fleet of seeded sessions steps through fixed trajectories, and
-the digest of its records' ``(t, released_cell, budget, n_attempts,
-conservative, forced_uniform)`` must equal the one committed in
-``golden_streams.json``, whichever way the fleet is stepped.
+its records' ``(t, released_cell, budget, n_attempts, conservative,
+forced_uniform)`` must equal the ones committed in
+``golden_streams.json`` (one record per line), whichever way the fleet
+is stepped.
 
-A change that moves a digest on purpose says why in CHANGES.md and
+A change that moves a record on purpose says why in CHANGES.md and
 regenerates the file with::
 
     PYTHONPATH=src python tests/test_golden_streams.py
 
 The first four scenarios restate the perf ledger's workloads
 (``benchmarks/ledger/workloads.py``; tests do not import benchmarks).
-The committed digests hold under every kernel and front routing, so the
+The committed records hold under every kernel and front routing, so the
 suite runs unchanged under ``REPRO_SOLVER_KERNEL=numpy``,
 ``REPRO_SPARSE_FRONT=always`` and ``REPRO_NATIVE_DISABLE=1``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +48,12 @@ from repro.scenario.spec import (
 
 GOLDEN = Path(__file__).with_name("golden_streams.json")
 FIELDS = ("t", "released_cell", "budget", "n_attempts", "conservative", "forced_uniform")
+REGENERATE = (
+    "the stream changed; if that is intended, say why in CHANGES.md and "
+    "regenerate: PYTHONPATH=src python tests/test_golden_streams.py"
+)
+#: Sessions per fleet, seeded ``1000 + i``.
+SESSIONS = 4
 
 
 def _spec(
@@ -77,10 +83,9 @@ def _spec(
 
 @dataclass(frozen=True)
 class Fleet:
-    """``sessions`` sessions, seeded ``1000 + i``, on one scenario."""
+    """``SESSIONS`` sessions on one scenario."""
 
     spec: ScenarioSpec
-    sessions: int = 4
     work_limit: int | None = None
 
 
@@ -139,7 +144,7 @@ def stream(name: str, stepping: str) -> list[list]:
         f"u{i}": sample_trajectory(
             compiled.chain, fleet.spec.horizon, initial=compiled.initial, rng=rng
         )
-        for i in range(fleet.sessions)
+        for i in range(SESSIONS)
     }
     manager = SessionManager(config)
     for i, sid in enumerate(trajectories):
@@ -159,47 +164,17 @@ def stream(name: str, stepping: str) -> list[list]:
     ]
 
 
-def _digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
-
-
-def golden_entry(records: list[list]) -> dict:
-    """The committed form: a digest of the whole stream, plus a short one
-    per record so a mismatch can name the first record that moved."""
-    return {
-        "digest": _digest(records),
-        "records": [_digest(record)[:12] for record in records],
-    }
-
-
-def assert_matches(expected: dict, records: list[list], what: str) -> None:
-    if _digest(records) == expected["digest"]:
-        return
-    got = golden_entry(records)["records"]
-    index = next(
-        (i for i, (want, have) in enumerate(zip(expected["records"], got)) if want != have),
-        min(len(got), len(expected["records"])),
-    )
-    record = dict(zip(FIELDS, records[index])) if index < len(records) else "end of stream"
-    pytest.fail(
-        f"{what}: the stream changed; first differing record #{index} is now "
-        f"{record}. If that is intended, say why in CHANGES.md and regenerate: "
-        "PYTHONPATH=src python tests/test_golden_streams.py"
-    )
-
-
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    with open(GOLDEN, encoding="utf-8") as handle:
-        data = json.load(handle)
-    assert sorted(data["scenarios"]) == sorted(SCENARIOS), "regenerate the golden file"
-    return data["scenarios"]
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(data) == sorted(SCENARIOS), REGENERATE
+    return data
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_solo_and_batched_streams_match_golden(name, golden):
     for stepping in ("step", "step_many"):
-        assert_matches(golden[name], stream(name, stepping), f"{name} via {stepping}")
+        assert stream(name, stepping) == golden[name], f"{name} via {stepping}: {REGENERATE}"
 
 
 @pytest.mark.parametrize("mode", ["never", "always"])
@@ -209,19 +184,18 @@ def test_lazy_walk_stream_is_golden_on_dense_and_csr_fronts(mode, golden, monkey
     before = front_stats()["sparse_models"]
     records = stream("engine-solo", "step")
     assert (front_stats()["sparse_models"] > before) == (mode == "always")
-    assert_matches(golden["engine-solo"], records, f"engine-solo, {SPARSE_ENV}={mode}")
+    assert records == golden["engine-solo"], f"{SPARSE_ENV}={mode}: {REGENERATE}"
 
 
 def main() -> None:
-    payload = {
-        "regenerate": "PYTHONPATH=src python tests/test_golden_streams.py",
-        "fields": list(FIELDS),
-        "scenarios": {name: golden_entry(stream(name, "step")) for name in SCENARIOS},
-    }
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    print(f"wrote {len(SCENARIOS)} stream digests to {GOLDEN}")
+    scenarios = ",\n".join(
+        f" {json.dumps(name)}: [\n"
+        + ",\n".join(f"  {json.dumps(record)}" for record in stream(name, "step"))
+        + "\n ]"
+        for name in SCENARIOS
+    )
+    GOLDEN.write_text("{\n" + scenarios + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(SCENARIOS)} streams to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from repro.lppm.planar_laplace import PlanarLaplaceMechanism
 DECAYS = (0.2, 0.5, 0.8)
 
 
-def test_ablation_decay_tradeoff(n_runs, save_result, benchmark):
+def test_ablation_decay_tradeoff(n_runs, save_result):
     scenario = synthetic_scenario(n_rows=10, n_cols=10, sigma=1.0, horizon=20)
     event = scenario.presence_event(0, 9, 4, 8)
     rng = np.random.default_rng(20)
@@ -69,7 +69,7 @@ def test_ablation_decay_tradeoff(n_runs, save_result, benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     headers = list(rows[0].keys())
     table = format_table(
         headers,

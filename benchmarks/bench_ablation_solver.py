@@ -42,7 +42,7 @@ def _condition_stream(n_alphas=6, horizon=10):
     return stream
 
 
-def test_ablation_certificate_vs_exact(save_result, benchmark):
+def test_ablation_certificate_vs_exact(save_result):
     stream = _condition_stream()
 
     def evaluate():
@@ -64,9 +64,7 @@ def test_ablation_certificate_vs_exact(save_result, benchmark):
             agree += quick <= exact  # certificate is sound: quick => exact
         return certified, exact_safe, agree, cert_time, exact_time
 
-    certified, exact_safe, agree, cert_time, exact_time = benchmark.pedantic(
-        evaluate, rounds=1, iterations=1
-    )
+    certified, exact_safe, agree, cert_time, exact_time = evaluate()
     n = len(_condition_stream())
     table = format_table(
         ["metric", "value"],
@@ -86,7 +84,7 @@ def test_ablation_certificate_vs_exact(save_result, benchmark):
     assert certified <= exact_safe  # strictly conservative
 
 
-def test_ablation_simplex_vs_box(save_result, benchmark):
+def test_ablation_simplex_vs_box(save_result):
     stream = _condition_stream(n_alphas=4, horizon=8)
 
     def evaluate():
@@ -110,7 +108,7 @@ def test_ablation_simplex_vs_box(save_result, benchmark):
                     unsound += 1
         return counts, unsound
 
-    counts, unsound = benchmark.pedantic(evaluate, rounds=1, iterations=1)
+    counts, unsound = evaluate()
     rows = []
     for status in ("safe", "violated", "unknown"):
         rows.append(

@@ -15,7 +15,7 @@ def _pattern(scenario):
 
 
 def test_appendix_pattern_budget_over_time(
-    paper_synthetic, n_runs, save_result, benchmark
+    paper_synthetic, n_runs, save_result
 ):
     scenario = paper_synthetic
     event = _pattern(scenario)
@@ -31,7 +31,7 @@ def test_appendix_pattern_budget_over_time(
             label=f"Appendix: PATTERN({{1:10}} -> {{11:20}} x2, T={{4:7}}), {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("appendix_pattern_budget_over_time", result.to_text())
 
     means = {name: curve.mean() for name, curve in result.curves.items()}
@@ -39,7 +39,7 @@ def test_appendix_pattern_budget_over_time(
 
 
 def test_appendix_pattern_utility_sweep(
-    paper_synthetic, n_runs, save_result, benchmark
+    paper_synthetic, n_runs, save_result
 ):
     scenario = paper_synthetic
 
@@ -54,7 +54,7 @@ def test_appendix_pattern_utility_sweep(
             label=f"Appendix: PATTERN utility vs epsilon, {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("appendix_pattern_utility_sweep", result.to_text())
     for budgets in result.budget_series.values():
         assert budgets[-1] >= budgets[0] - 0.05

@@ -23,7 +23,7 @@ EPSILON = 0.5
 ALPHAS = (2.0, 0.5, 0.1, 0.02)
 
 
-def test_extension_event_pair_sweep(save_result, benchmark):
+def test_extension_event_pair_sweep(save_result):
     scenario = synthetic_scenario(n_rows=8, n_cols=8, sigma=1.5, horizon=HORIZON)
     grid, chain, pi = scenario.grid, scenario.chain, scenario.initial
     clinic = PresenceEvent(Region.rectangle(grid, (0, 1), (0, 1)), start=5, end=8)
@@ -55,7 +55,7 @@ def test_extension_event_pair_sweep(save_result, benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     headers = list(rows[0].keys())
     save_result(
         "extension_event_pair_sweep",

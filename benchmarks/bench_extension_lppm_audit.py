@@ -25,7 +25,7 @@ from repro.metrics.privacy import expected_inference_error_km, top1_accuracy
 HORIZON = 20
 
 
-def test_extension_lppm_event_privacy_audit(n_runs, save_result, benchmark):
+def test_extension_lppm_event_privacy_audit(n_runs, save_result):
     scenario = synthetic_scenario(n_rows=8, n_cols=8, sigma=1.0, horizon=HORIZON)
     grid, chain, pi = scenario.grid, scenario.chain, scenario.initial
     event = PresenceEvent(
@@ -70,7 +70,7 @@ def test_extension_lppm_event_privacy_audit(n_runs, save_result, benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(audit, rounds=1, iterations=1)
+    rows = audit()
     headers = list(rows[0].keys())
     save_result(
         "extension_lppm_event_privacy_audit",

@@ -15,7 +15,7 @@ def _event(scenario):
     return scenario.presence_event(0, 9, 4, 8)
 
 
-def test_fig07a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig07a_budget_vs_epsilon(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     event = _event(scenario)
 
@@ -29,7 +29,7 @@ def test_fig07a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmar
             label=f"Fig. 7(a) 0.2-PLM, PRESENCE(S={{1:10}}, T={{4:8}}), {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig07a_presence_early_budget_vs_epsilon", result.to_text())
 
     # Shape assertions (the paper's qualitative findings).
@@ -41,7 +41,7 @@ def test_fig07a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmar
         assert np.all(curve <= 0.2 + 1e-12)
 
 
-def test_fig07b_budget_vs_plm(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig07b_budget_vs_plm(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     event = _event(scenario)
 
@@ -55,7 +55,7 @@ def test_fig07b_budget_vs_plm(paper_synthetic, n_runs, save_result, benchmark):
             label=f"Fig. 7(b) eps=0.5, varying PLM, {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig07b_presence_early_budget_vs_plm", result.to_text())
 
     # A stricter PLM needs proportionally less calibration: the retained

@@ -10,7 +10,7 @@ import numpy as np
 from repro.experiments.runners import run_budget_over_time
 
 
-def test_fig08a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig08a_budget_vs_epsilon(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     event = scenario.presence_event(0, 9, 16, 20)
 
@@ -24,7 +24,7 @@ def test_fig08a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmar
             label=f"Fig. 8(a) 0.2-PLM, PRESENCE(S={{1:10}}, T={{16:20}}), {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig08a_presence_late_budget_vs_epsilon", result.to_text())
 
     means = {name: curve.mean() for name, curve in result.curves.items()}
@@ -35,7 +35,7 @@ def test_fig08a_budget_vs_epsilon(paper_synthetic, n_runs, save_result, benchmar
     # to assert at quick-pass run counts.)
 
 
-def test_fig08b_budget_vs_plm(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig08b_budget_vs_plm(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     event = scenario.presence_event(0, 9, 16, 20)
 
@@ -49,7 +49,7 @@ def test_fig08b_budget_vs_plm(paper_synthetic, n_runs, save_result, benchmark):
             label=f"Fig. 8(b) eps=0.5, varying PLM, late window, {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig08b_presence_late_budget_vs_plm", result.to_text())
     for name, alpha in (("alpha=0.1", 0.1), ("alpha=0.5", 0.5), ("alpha=1.0", 1.0)):
         assert np.all(result.curves[name] <= alpha + 1e-12)

@@ -10,7 +10,7 @@ event").
 from repro.experiments.runners import run_budget_over_time
 
 
-def test_fig09_two_events_cost(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig09_two_events_cost(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     early = scenario.presence_event(0, 9, 4, 8)
     late = scenario.presence_event(0, 9, 16, 20)
@@ -25,7 +25,7 @@ def test_fig09_two_events_cost(paper_synthetic, n_runs, save_result, benchmark):
             label=f"Fig. 9 two PRESENCE events, 0.2-PLM, {n_runs} runs",
         )
 
-    two = benchmark.pedantic(run_two, rounds=1, iterations=1)
+    two = run_two()
     save_result("fig09_two_events_budget_vs_epsilon", two.to_text())
 
     single = run_budget_over_time(
@@ -43,7 +43,7 @@ def test_fig09_two_events_cost(paper_synthetic, n_runs, save_result, benchmark):
     )
 
 
-def test_fig09b_two_events_vs_plm(paper_synthetic, n_runs, save_result, benchmark):
+def test_fig09b_two_events_vs_plm(paper_synthetic, n_runs, save_result):
     scenario = paper_synthetic
     events = [
         scenario.presence_event(0, 9, 4, 8),
@@ -60,6 +60,6 @@ def test_fig09b_two_events_vs_plm(paper_synthetic, n_runs, save_result, benchmar
             label=f"Fig. 9(b) two events, eps=0.5, varying PLM, {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig09b_two_events_budget_vs_plm", result.to_text())
     assert set(result.curves) == {"alpha=0.1", "alpha=0.5", "alpha=1.0"}

@@ -10,7 +10,7 @@ from repro.experiments.runners import run_budget_over_time
 from repro.experiments.scenarios import synthetic_scenario
 
 
-def test_fig10a_delta_budget_vs_epsilon(n_runs, save_result, benchmark):
+def test_fig10a_delta_budget_vs_epsilon(n_runs, save_result):
     scenario = synthetic_scenario(n_rows=20, n_cols=20, sigma=1.0, horizon=20)
     event = scenario.presence_event(0, 9, 4, 8)
 
@@ -29,7 +29,7 @@ def test_fig10a_delta_budget_vs_epsilon(n_runs, save_result, benchmark):
             ),
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig10a_delta_location_set_vs_epsilon", result.to_text())
 
     means = {name: curve.mean() for name, curve in result.curves.items()}
@@ -52,7 +52,7 @@ def test_fig10a_delta_budget_vs_epsilon(n_runs, save_result, benchmark):
     )
 
 
-def test_fig10b_delta_budget_vs_plm(n_runs, save_result, benchmark):
+def test_fig10b_delta_budget_vs_plm(n_runs, save_result):
     scenario = synthetic_scenario(n_rows=20, n_cols=20, sigma=1.0, horizon=20)
     event = scenario.presence_event(0, 9, 4, 8)
 
@@ -71,6 +71,6 @@ def test_fig10b_delta_budget_vs_plm(n_runs, save_result, benchmark):
             ),
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig10b_delta_location_set_vs_plm", result.to_text())
     assert set(result.curves) == {"alpha=0.1", "alpha=0.5", "alpha=1.0"}

@@ -15,7 +15,7 @@ EPSILONS = (0.1, 0.5, 1.0, 2.0)
 ALPHAS = (0.5, 1.0, 3.0, 5.0)
 
 
-def test_fig11_geolife_utility(paper_geolife, n_runs, save_result, benchmark):
+def test_fig11_geolife_utility(paper_geolife, n_runs, save_result):
     scenario = paper_geolife
 
     def run():
@@ -32,7 +32,7 @@ def test_fig11_geolife_utility(paper_geolife, n_runs, save_result, benchmark):
             ),
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig11_geolife_utility_vs_epsilon", result.to_text())
 
     # Budget grows (weakly) with epsilon for every PLM family.

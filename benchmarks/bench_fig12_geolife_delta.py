@@ -13,7 +13,7 @@ EPSILONS = (0.1, 1.0, 2.0, 3.0)
 DELTAS = (0.1, 0.3, 0.5, 0.7)
 
 
-def test_fig12_geolife_delta_sweep(paper_geolife, n_runs, save_result, benchmark):
+def test_fig12_geolife_delta_sweep(paper_geolife, n_runs, save_result):
     scenario = paper_geolife
 
     def run():
@@ -33,7 +33,7 @@ def test_fig12_geolife_delta_sweep(paper_geolife, n_runs, save_result, benchmark
             ),
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig12_geolife_delta_location_set", result.to_text())
 
     # The restricted output domain keeps errors bounded by the map size.

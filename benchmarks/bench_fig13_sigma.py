@@ -13,7 +13,7 @@ EPSILONS = (0.1, 0.5, 1.0, 2.0)
 SIGMAS = (0.01, 0.1, 1.0, 10.0)
 
 
-def test_fig13_sigma_sweep(n_runs, save_result, benchmark):
+def test_fig13_sigma_sweep(n_runs, save_result):
     def run():
         return run_utility_sweep(
             scenario_for=lambda params: synthetic_scenario(
@@ -29,7 +29,7 @@ def test_fig13_sigma_sweep(n_runs, save_result, benchmark):
             label=f"Fig. 13 synthetic, 1-PLM, sigma sweep, {n_runs} runs",
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig13_utility_vs_sigma", result.to_text())
 
     # Strong pattern (sigma = 0.01) retains no more budget than the

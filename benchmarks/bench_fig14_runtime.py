@@ -21,7 +21,7 @@ def _scenario():
     return synthetic_scenario(n_rows=8, n_cols=8, sigma=1.0, horizon=20)
 
 
-def test_fig14_runtime_vs_length(save_result, benchmark, request):
+def test_fig14_runtime_vs_length(save_result, request):
     values = (5, 7, 9, 11) if request.config.getoption("--paper-scale") else (3, 5, 7)
     scenario = _scenario()
 
@@ -30,7 +30,7 @@ def test_fig14_runtime_vs_length(save_result, benchmark, request):
             scenario, axis="length", values=values, fixed=5, n_events=3, seed=14
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig14_runtime_vs_event_length", result.to_text())
 
     # Exponential vs linear: the speedup grows with event length.
@@ -47,7 +47,7 @@ def test_fig14_runtime_vs_length(save_result, benchmark, request):
     assert baseline_growth > priste_growth
 
 
-def test_fig14_runtime_vs_width(save_result, benchmark, request):
+def test_fig14_runtime_vs_width(save_result, request):
     values = (5, 7, 9, 11) if request.config.getoption("--paper-scale") else (3, 5, 7)
     scenario = _scenario()
 
@@ -56,7 +56,7 @@ def test_fig14_runtime_vs_width(save_result, benchmark, request):
             scenario, axis="width", values=values, fixed=5, n_events=3, seed=14
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     save_result("fig14_runtime_vs_event_width", result.to_text())
 
     speedups = [

@@ -17,7 +17,7 @@ from repro.experiments.scenarios import synthetic_scenario
 THRESHOLDS = (0.01, 0.1, 1.0, 2.0, 5.0, None)
 
 
-def test_table3_threshold_tradeoff(n_runs, save_result, benchmark):
+def test_table3_threshold_tradeoff(n_runs, save_result):
     scenario = synthetic_scenario(n_rows=20, n_cols=20, sigma=1.0, horizon=20)
     event = scenario.presence_event(0, 9, 4, 8)
 
@@ -32,7 +32,7 @@ def test_table3_threshold_tradeoff(n_runs, save_result, benchmark):
             seed=15,
         )
 
-    table, rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    table, rows = run()
     save_result("table3_conservative_release", table)
 
     by_threshold = {row["threshold"]: row for row in rows}

@@ -1,4 +1,4 @@
-"""Shared infrastructure for the paper suite and the service-load bench.
+"""Shared fixtures for the paper suite.
 
 Each paper-suite module (``bench_fig*``, ``bench_table3_*``,
 ``bench_ablation_*``, ``bench_appendix_*``, ``bench_extension_*``)
@@ -6,8 +6,9 @@ regenerates one of the paper's tables/figures; ``paper/README.md`` maps
 each to the claim its test asserts.  The reproduced series are printed
 to stdout *and* written under the untracked ``benchmarks/results/`` so
 the textual figures survive pytest's output capture (``paper/results/``
-keeps one committed run); the ``benchmark`` fixture additionally times
-a representative unit of each experiment.
+keeps one committed run).  Speed is the perf ledger's job
+(``benchmarks/ledger/``), so the suite times nothing beyond what
+Fig. 14 and Table III report themselves.
 
 Run counts here are deliberately smaller than the paper's 100 (recorded
 in every result header); pass ``--paper-scale`` for full-size runs.
@@ -15,7 +16,6 @@ in every result header); pass ``--paper-scale`` for full-size runs.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -31,27 +31,6 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="use the paper's run counts (slow) instead of quick defaults",
-    )
-    parser.addoption(
-        "--mixed-scenarios",
-        type=int,
-        default=4,
-        help="distinct ScenarioSpecs in the mixed-tenant service load "
-        "benchmark (bench_service_load.py::test_bench_service_load_mixed)",
-    )
-    parser.addoption(
-        "--open-loop",
-        action="store_true",
-        default=False,
-        help="run only the open-loop arrival benchmark in "
-        "bench_service_load.py (the closed-loop load tests skip)",
-    )
-    parser.addoption(
-        "--rate",
-        type=float,
-        default=None,
-        help="offered Poisson arrival rate (steps/s) for the open-loop "
-        "benchmark; default sweeps 0.5x / 1x / 2x the measured capacity",
     )
 
 
@@ -71,39 +50,6 @@ def save_result():
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"\n{text}\n[saved to {path}]")
-        return path
-
-    return _save
-
-
-#: The one JSON shape every bench writes, so the perf trajectory across
-#: PRs stays machine-readable: {"benchmark", "schema", "params", "rows"}
-#: with rows a list of flat dicts sharing one key set.
-RESULTS_JSON_SCHEMA = 1
-
-
-@pytest.fixture(scope="session")
-def save_json():
-    """Persist a benchmark's machine-readable results.
-
-    ``_save(name, params, rows)`` writes ``results/<name>.json`` as
-    ``{"benchmark": name, "schema": RESULTS_JSON_SCHEMA, "params": ...,
-    "rows": [...]}`` -- flat JSON-safe dicts only.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-
-    def _save(name: str, params: dict, rows: list[dict]) -> str:
-        payload = {
-            "benchmark": name,
-            "schema": RESULTS_JSON_SCHEMA,
-            "params": params,
-            "rows": rows,
-        }
-        path = os.path.join(RESULTS_DIR, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"[json results saved to {path}]")
         return path
 
     return _save

@@ -50,7 +50,7 @@ echo "workers: $W1_ADDR $W2_ADDR"
 
 # 2. A cluster-backed server routing at both workers.
 python -m repro.cli serve --port 0 "${ENGINE_FLAGS[@]}" \
-  --backend "$W1_ADDR,$W2_ADDR" --batch-window-ms 2 \
+  --backend "$W1_ADDR,$W2_ADDR" \
   > "$WORKDIR/serve.jsonl" &
 SERVE_PID=$!
 

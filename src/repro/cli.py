@@ -439,11 +439,6 @@ def _serve_main(argv: list[str]) -> int:
                         "cluster backend with consistent-hash placement and "
                         "live migration (incompatible with --shards; the "
                         "engine flags must match the workers')")
-    parser.add_argument("--batch-window-ms", type=float, default=0.0,
-                        help="minimum batch age: steps always batch by "
-                        "themselves under load; a positive value holds "
-                        "each batch until its oldest step has waited "
-                        "this long (bit-identical streams; default 0)")
     parser.add_argument("--standby", default=None, metavar="ADDRS",
                         help="with --backend: comma-separated warm-standby "
                         "worker addresses (tcp://host:port,...); standbys "
@@ -485,25 +480,29 @@ def _serve_main(argv: list[str]) -> int:
                         help="requests slower than this land in the "
                         "slow-span ring buffer")
     args = parser.parse_args(argv)
-    for name in ("max_sessions", "max_resident", "pending_per_connection"):
-        if getattr(args, name) < 1:
-            parser.error(f"--{name.replace('_', '-')} must be >= 1")
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.batch_window_ms < 0:
-        parser.error("--batch-window-ms must be >= 0")
-    if args.slow_request_ms <= 0:
-        parser.error("--slow-request-ms must be > 0")
-    if args.metrics_port is not None and not 0 <= args.metrics_port < 65536:
-        parser.error("--metrics-port must be in [0, 65535]")
+    # Built before the engine, so a bad serving knob exits before any
+    # worker process spawns.
+    try:
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            max_sessions=args.max_sessions,
+            max_resident=args.max_resident,
+            max_pending_per_connection=args.pending_per_connection,
+            workers=args.workers,
+            trace=not args.no_trace,
+            slow_request_ms=args.slow_request_ms,
+            metrics_port=args.metrics_port,
+            metrics_host=args.metrics_host,
+            shed_target_ms=args.shed_target_ms,
+            shed_interval_ms=args.shed_interval_ms,
+        )
+    except ReproError as error:
+        parser.error(str(error))
     if args.shards < 0:
         parser.error("--shards must be >= 0")
     if args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
-    if args.shed_target_ms < 0:
-        parser.error("--shed-target-ms must be >= 0")
-    if args.shed_interval_ms <= 0:
-        parser.error("--shed-interval-ms must be > 0")
     if args.standby and not args.backend:
         parser.error("--standby requires --backend (standbys are cluster "
                      "workers held in reserve)")
@@ -552,21 +551,6 @@ def _serve_main(argv: list[str]) -> int:
             engine = _stream_manager(args)
     except ReproError as error:
         parser.error(str(error))
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        max_sessions=args.max_sessions,
-        max_resident=args.max_resident,
-        max_pending_per_connection=args.pending_per_connection,
-        workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
-        trace=not args.no_trace,
-        slow_request_ms=args.slow_request_ms,
-        metrics_port=args.metrics_port,
-        metrics_host=args.metrics_host,
-        shed_target_ms=args.shed_target_ms,
-        shed_interval_ms=args.shed_interval_ms,
-    )
 
     async def _serve() -> int:
         server = ReleaseServer(

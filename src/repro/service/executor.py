@@ -194,10 +194,8 @@ class StepBatcher:
     :meth:`~repro.engine.backend.ExecutionBackend.step_batch` under
     every member's session lock (:meth:`SessionExecutor.run_batch`).
     A lone step on an idle server runs at once; under load the steps
-    that arrive while the pool is busy form the next batch.
-    ``window_s`` only sets a minimum batch age: a flush waits until its
-    oldest step has queued that long.  ``manager`` is a
-    :class:`~repro.engine.SessionManager` or any execution backend.
+    that arrive while the pool is busy form the next batch.  ``manager``
+    is a :class:`~repro.engine.SessionManager` or any execution backend.
 
     Ordering: a session is in at most one batch in flight (a pipelined
     second step waits for a flush after its first step's batch), so a
@@ -224,7 +222,6 @@ class StepBatcher:
         self,
         manager,
         executor: SessionExecutor,
-        window_s: float,
         restore: Callable[[str], bool] | None = None,
         tracer=None,
         shedder=None,
@@ -233,7 +230,6 @@ class StepBatcher:
 
         self._backend = as_backend(manager)
         self._executor = executor
-        self._window_s = float(window_s)
         self._restore = restore
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._shedder = shedder
@@ -255,7 +251,6 @@ class StepBatcher:
     def stats(self) -> dict:
         """Counters for the ``stats`` op."""
         return {
-            "window_ms": self._window_s * 1e3,
             "batches": self._batches,
             "steps": self._steps,
             "max_batch": self._max_batch,
@@ -315,12 +310,11 @@ class StepBatcher:
             or self._running >= max(1, self._executor.workers)
         ):
             return
-        delay = 0.0
-        if self._window_s > 0:
-            oldest = min(steps[0][4] for steps in self._pending.values())
-            delay = self._window_s - (time.perf_counter() - oldest)
+        # A zero-delay timer rather than call_soon: it fires after every
+        # callback queued during this loop turn, so request tasks created
+        # meanwhile (say, from another connection's read) join the flush.
         self._flush_handle = asyncio.get_running_loop().call_later(
-            max(0.0, delay), self._spawn_flush
+            0.0, self._spawn_flush
         )
 
     def _spawn_flush(self) -> None:

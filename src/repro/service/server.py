@@ -60,6 +60,7 @@ from ..errors import (
     ServiceError,
     SessionError,
     ShardDownError,
+    ValidationError,
 )
 from ..obs.http import ObsHttpServer
 from ..obs.probe import EventLoopLagProbe
@@ -82,7 +83,11 @@ from .store import MemorySessionStore, SessionStore
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Serving knobs, orthogonal to the engine configuration."""
+    """Serving knobs, orthogonal to the engine configuration.
+
+    Out-of-range values raise :class:`~repro.errors.ValidationError` at
+    construction.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port off `server.port`
@@ -90,12 +95,6 @@ class ServerConfig:
     max_resident: int = 1_024
     max_pending_per_connection: int = 32
     workers: int | None = None  # None = cores (capped); 0 = inline
-    #: Minimum batch age in milliseconds (0 = none).  Every `step`
-    #: request is served by the group-commit queue, which batches by
-    #: itself under load; a positive value additionally holds each
-    #: flush until its oldest step has queued this long, trading that
-    #: latency for larger batches.  Streams are bit-identical either way.
-    batch_window_ms: float = 0.0
     #: Capacity of the validated-scenario LRU fronting inline `open`
     #: scenarios (evicted specs are simply re-validated on their next
     #: submission; model interning lives in the engine, per digest).
@@ -126,6 +125,33 @@ class ServerConfig:
     #: How long the queue delay must stay above target before the
     #: queue-delay trigger starts shedding.
     shed_interval_ms: float = 1000.0
+
+    def __post_init__(self) -> None:
+        # A zero pending limit would never read a request, and negative
+        # workers would run steps inline past the sharded-backend guard.
+        for name in ("max_sessions", "max_resident", "max_pending_per_connection"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
+        if self.workers is not None and self.workers < 0:
+            raise ValidationError(f"workers must be >= 0, got {self.workers!r}")
+        if self.slow_request_ms <= 0:
+            raise ValidationError(
+                f"slow_request_ms must be > 0, got {self.slow_request_ms!r}"
+            )
+        for name in ("port", "metrics_port"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < 65536:
+                raise ValidationError(f"{name} must be in [0, 65535], got {value!r}")
+        if self.shed_target_ms < 0:
+            raise ValidationError(
+                f"shed_target_ms must be >= 0, got {self.shed_target_ms!r}"
+            )
+        if self.shed_interval_ms <= 0:
+            raise ValidationError(
+                f"shed_interval_ms must be > 0, got {self.shed_interval_ms!r}"
+            )
 
 
 def _merge_cache_rows(rows: list[dict]) -> dict | None:
@@ -226,7 +252,6 @@ class ReleaseServer:
         self._batcher = StepBatcher(
             self._backend,
             self._executor,
-            self._config.batch_window_ms / 1e3,
             restore=self._restore_if_suspended,
             tracer=self._tracer,
             shedder=self._shedder,

@@ -1,12 +1,13 @@
 """Batched serving: identity, ordering and the group-commit queue.
 
 Every served step goes through the group-commit queue onto
-``SessionManager.step_many`` (``--batch-window-ms`` only sets a minimum
-batch age); the served release streams must stay bit-identical to a
-server without a window and to driving the manager directly,
-per-session ordering must survive same-session bursts, and a bad
-request or a faulting session must fail alone without poisoning its
-batch.
+``SessionManager.step_many``; streams served in coalesced batches must
+stay bit-identical to one-step-at-a-time serving and to driving the
+manager directly, per-session ordering must survive same-session
+bursts, and a bad request or a faulting session must fail alone without
+poisoning its batch.  Tests that need steps to share a batch hold the
+step pool (:func:`topology.held_step_batch`) instead of waiting on a
+timer, so their batch sizes are exact.
 """
 
 import asyncio
@@ -26,10 +27,13 @@ from repro.service import AsyncServiceClient, ReleaseServer, ServerConfig
 from topology import (
     HORIZON,
     direct_records,
+    held_step_batch,
     make_builder,
     make_manager,
     make_trajectories,
+    serve_round,
     strip_elapsed,
+    until,
 )
 
 
@@ -66,16 +70,19 @@ def setting():
     return scenario, builder
 
 
-async def _serve_fleet(builder, scenario, n_sessions, n_steps, batch_window_ms):
+async def _serve_fleet(builder, scenario, n_sessions, n_steps, coalesce):
+    """Serve every session ``n_steps`` times, one round per timestamp.
+
+    ``coalesce`` serves each round through :func:`serve_round` (u0
+    alone, then the rest as one batch); otherwise steps go one at a
+    time, so every batch holds one step.
+    """
     rng = np.random.default_rng(0)
     trajectories = [
         sample_trajectory(scenario.chain, n_steps, initial=scenario.initial, rng=rng)
         for _ in range(n_sessions)
     ]
-    server = ReleaseServer(
-        SessionManager(builder),
-        config=ServerConfig(batch_window_ms=batch_window_ms, workers=2),
-    )
+    server = ReleaseServer(SessionManager(builder), config=ServerConfig(workers=1))
     await server.start()
     clients = [
         await AsyncServiceClient.connect("127.0.0.1", server.port) for _ in range(4)
@@ -85,12 +92,14 @@ async def _serve_fleet(builder, scenario, n_sessions, n_steps, batch_window_ms):
         await by_session[i].open(f"u{i}", seed=1000 + i)
     streams = {f"u{i}": [] for i in range(n_sessions)}
     for t in range(n_steps):
-        records = await asyncio.gather(
-            *[
-                by_session[i].step(f"u{i}", int(trajectories[i][t]))
-                for i in range(n_sessions)
-            ]
-        )
+        requests = [
+            by_session[i].step(f"u{i}", int(trajectories[i][t]))
+            for i in range(n_sessions)
+        ]
+        if coalesce:
+            records = await serve_round(server, requests)
+        else:
+            records = [await request for request in requests]
         for i, record in enumerate(records):
             streams[f"u{i}"].append(strip_json(record))
     stats = await clients[0].stats()
@@ -103,18 +112,18 @@ async def _serve_fleet(builder, scenario, n_sessions, n_steps, batch_window_ms):
 class TestBatchedServing:
     def test_streams_bit_identical_to_unbatched(self, setting):
         scenario, builder = setting
-        batched, stats = asyncio.run(_serve_fleet(builder, scenario, 8, 6, 5.0))
-        unbatched, _ = asyncio.run(_serve_fleet(builder, scenario, 8, 6, 0.0))
+        batched, stats = asyncio.run(_serve_fleet(builder, scenario, 8, 6, True))
+        unbatched, solo = asyncio.run(_serve_fleet(builder, scenario, 8, 6, False))
         assert batched == unbatched
-        assert stats["batching"] is not None
+        # Each round: u0 alone, then the other seven as one batch.
         assert stats["batching"]["steps"] == 8 * 6
-        assert stats["batching"]["max_batch"] >= 2, (
-            "concurrent requests should coalesce into multi-session batches"
-        )
+        assert stats["batching"]["batches"] == 2 * 6
+        assert stats["batching"]["max_batch"] == 7
+        assert solo["batching"]["batches"] == solo["batching"]["steps"] == 8 * 6
 
     def test_matches_direct_manager(self, setting):
         scenario, builder = setting
-        served, _ = asyncio.run(_serve_fleet(builder, scenario, 6, 6, 5.0))
+        served, _ = asyncio.run(_serve_fleet(builder, scenario, 6, 6, True))
         rng = np.random.default_rng(0)
         trajectories = [
             sample_trajectory(scenario.chain, 6, initial=scenario.initial, rng=rng)
@@ -135,8 +144,7 @@ class TestBatchedServing:
 
         async def run():
             server = ReleaseServer(
-                SessionManager(builder),
-                config=ServerConfig(batch_window_ms=20.0, workers=2),
+                SessionManager(builder), config=ServerConfig(workers=2)
             )
             await server.start()
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
@@ -159,24 +167,29 @@ class TestBatchedServing:
 
         async def run():
             server = ReleaseServer(
-                SessionManager(builder),
-                config=ServerConfig(batch_window_ms=10.0, workers=2),
+                SessionManager(builder), config=ServerConfig(workers=1)
             )
             await server.start()
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("first", seed=0)
             await client.open("good", seed=1)
-            results = await asyncio.gather(
-                client.step("good", 3),
-                client.step("ghost", 4),
-                return_exceptions=True,
+            results = await serve_round(
+                server,
+                [
+                    client.step("first", 2),
+                    client.step("good", 3),
+                    client.step("ghost", 4),
+                ],
             )
+            stats = await client.stats()
             await client.close()
             await server.drain()
-            return results
+            return results, stats["batching"]
 
-        good, ghost = asyncio.run(run())
-        assert good["t"] == 1
+        (first, good, ghost), batching = asyncio.run(run())
+        assert first["t"] == good["t"] == 1
         assert isinstance(ghost, SessionError)
+        assert batching["max_batch"] == 2  # good and ghost shared a batch
 
     def test_batched_step_restores_suspended_sessions(self, setting):
         scenario, builder = setting
@@ -184,9 +197,7 @@ class TestBatchedServing:
         async def run():
             server = ReleaseServer(
                 SessionManager(builder),
-                config=ServerConfig(
-                    batch_window_ms=10.0, workers=2, max_resident=2
-                ),
+                config=ServerConfig(workers=1, max_resident=2),
             )
             await server.start()
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
@@ -195,8 +206,8 @@ class TestBatchedServing:
             # With max_resident=2, most sessions are evicted between
             # rounds; batched steps must restore them transparently.
             for t in range(3):
-                records = await asyncio.gather(
-                    *[client.step(f"u{i}", (t + i) % 25) for i in range(5)]
+                records = await serve_round(
+                    server, [client.step(f"u{i}", (t + i) % 25) for i in range(5)]
                 )
                 assert [record["t"] for record in records] == [t + 1] * 5
             stats = await client.stats()
@@ -206,14 +217,16 @@ class TestBatchedServing:
 
         stats = asyncio.run(run())
         assert stats["sessions"]["restored"] > 0
-        assert stats["batching"]["batches"] >= 3
+        assert stats["batching"]["batches"] == 2 * 3
+        assert stats["batching"]["max_batch"] == 4
 
 
 class TestBatchOrderingUnderContention:
     def test_same_session_batches_apply_in_flush_order(self, setting):
         # Regression: batch 1 = {a, b} flushes while session a's lock is
-        # held elsewhere; batch 2 = {b} must NOT leapfrog it -- the
-        # acquisition gate serializes lock acquisition across batches.
+        # held elsewhere; batch 2 = {b} must NOT leapfrog it -- a session
+        # sits in at most one batch in flight, so b's second step stays
+        # queued until batch 1 has run.
         scenario, builder = setting
         from repro.service import SessionExecutor, StepBatcher
 
@@ -230,17 +243,17 @@ class TestBatchOrderingUnderContention:
 
             manager.step_many = spy
             executor = SessionExecutor(workers=0)
-            batcher = StepBatcher(manager, executor, window_s=0.01)
+            batcher = StepBatcher(manager, executor)
             async with executor.hold_many(["a"]):
                 task_a = asyncio.ensure_future(batcher.submit("a", 1))
                 task_b1 = asyncio.ensure_future(batcher.submit("b", 1))
-                await asyncio.sleep(0)  # both land in batch 1
-                # Duplicate session: flushes batch 1, seeds batch 2.
+                await asyncio.sleep(0)  # both queue before the flush runs
+                # Batch 1 flushes and waits for a's lock; b's second
+                # step queues behind it instead of forming a batch that
+                # would take b's lock first and apply out of order.
                 task_b2 = asyncio.ensure_future(batcher.submit("b", 2))
-                # Batch 2's window expires while a's lock is still held;
-                # without the gate it would acquire b's lock first and
-                # apply b's second step before its first.
-                await asyncio.sleep(0.05)
+                await until(lambda: batcher.stats()["pending"] == 1)
+                assert batcher.stats()["inflight"] == 1
             (_, rec_a), (_, rec_b1), (_, rec_b2) = await asyncio.gather(
                 task_a, task_b1, task_b2
             )
@@ -255,21 +268,31 @@ class TestBatchOrderingUnderContention:
 
     def test_finish_waits_for_pending_batched_step(self, setting):
         # A pipelined step + finish on one session: the finish op's
-        # barrier must let the collected step complete first.
+        # barrier must let the queued step complete first.
         scenario, builder = setting
 
         async def run():
             server = ReleaseServer(
-                SessionManager(builder),
-                config=ServerConfig(batch_window_ms=30.0, workers=2),
+                SessionManager(builder), config=ServerConfig(workers=1)
             )
             await server.start()
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
             await client.open("u0", seed=3)
-            step_task = asyncio.ensure_future(client.step("u0", 4))
-            await asyncio.sleep(0)  # step parked in the open window
-            summary = await client.finish("u0")
+            await client.open("plug", seed=4)
+            async with held_step_batch(server):
+                plug = asyncio.ensure_future(client.step("plug", 1))
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                step_task = asyncio.ensure_future(client.step("u0", 4))
+                await until(lambda: server._batcher.window_occupancy() == 1)
+                finish_task = asyncio.ensure_future(client.finish("u0"))
+                # Counted on arrival; its task then reaches the barrier
+                # before the held batch can complete.
+                await until(
+                    lambda: server.metrics.snapshot()["requests"].get("finish") == 1
+                )
+            summary = await finish_task
             record = await step_task
+            await plug
             await client.close()
             await server.drain()
             return record, summary
@@ -279,10 +302,9 @@ class TestBatchOrderingUnderContention:
         assert summary["n_released"] == 1
 
     def test_barrier_covers_flushed_but_unexecuted_batches(self, setting):
-        # Regression: after the window closes, the batch leaves
-        # _pending before its flush task has run; a barrier arriving in
-        # that gap must still wait for the step instead of letting a
-        # finish/checkpoint overtake it.
+        # Regression: a flushed batch leaves _pending before its flush
+        # task has run; a barrier arriving in that gap must still wait
+        # for the step instead of letting a finish/checkpoint overtake it.
         scenario, builder = setting
         from repro.service import SessionExecutor, StepBatcher
 
@@ -290,10 +312,10 @@ class TestBatchOrderingUnderContention:
             manager = SessionManager(builder)
             manager.open("a", rng=1)
             executor = SessionExecutor(workers=0)
-            batcher = StepBatcher(manager, executor, window_s=60.0)
+            batcher = StepBatcher(manager, executor)
             step_task = asyncio.ensure_future(batcher.submit("a", 3))
-            await asyncio.sleep(0)  # request lands in the window
-            batcher._spawn_flush()  # window closes; flush task not yet run
+            await asyncio.sleep(0)  # queued; its flush is scheduled, not run
+            batcher._spawn_flush()  # flush now; the flush task has not run
             assert "a" not in batcher._pending
             await batcher.barrier("a")
             t_after_barrier = manager.session("a").t
@@ -303,13 +325,6 @@ class TestBatchOrderingUnderContention:
         t_after_barrier, record = asyncio.run(run())
         assert t_after_barrier == 2, "barrier returned before the step applied"
         assert record.t == 1
-
-
-async def _until(predicate, timeout_s: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        await asyncio.sleep(0.005)
 
 
 class TestGroupCommitQueue:
@@ -331,12 +346,13 @@ class TestGroupCommitQueue:
         batching = asyncio.run(run())
         assert batching["steps"] == HORIZON
         assert batching["batches"] == batching["steps"]
-        assert batching["window_ms"] == 0.0
 
     def test_queued_steps_count_as_queue_depth_and_hold_the_overload(self):
         """workers=1 with the pool thread held inside a batch: the steps
         queued behind it show in ``repro_executor_queue_depth``, and the
-        shedder's drained check sees them, so an overload stands."""
+        shedder's drained check sees them, so an overload stands.  The
+        held batch runs on a ``repro-step`` pool thread, never on the
+        event loop, so a slow step cannot starve other connections."""
 
         async def run():
             server = ReleaseServer(make_manager(), config=ServerConfig(workers=1))
@@ -344,35 +360,28 @@ class TestGroupCommitQueue:
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
             for i in range(4):
                 await client.open(f"u{i}", seed=i)
-            release = threading.Event()
-            step_batch = server._backend.step_batch
-
-            def held(cells):
-                release.wait(10)
-                return step_batch(cells)
-
-            server._backend.step_batch = held
-            steps = [asyncio.ensure_future(client.step("u0", 1))]
-            await _until(lambda: server._batcher.stats()["inflight"] == 1)
-            steps += [
-                asyncio.ensure_future(client.step(f"u{i}", 1)) for i in (1, 2, 3)
-            ]
-            await _until(lambda: server._batcher.window_occupancy() == 3)
-            exposition = server.metrics.registry.render()
-            shedder = server._shedder
-            now = time.perf_counter()
-            with shedder._lock:
-                shedder._delay_ewma_s = 0.5
-                shedder._last_observe = now
-                shedder._above_since = now - 3.0
-            level = shedder.level
-            release.set()
+            async with held_step_batch(server) as threads:
+                steps = [asyncio.ensure_future(client.step("u0", 1))]
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                steps += [
+                    asyncio.ensure_future(client.step(f"u{i}", 1)) for i in (1, 2, 3)
+                ]
+                await until(lambda: server._batcher.window_occupancy() == 3)
+                exposition = server.metrics.registry.render()
+                shedder = server._shedder
+                now = time.perf_counter()
+                with shedder._lock:
+                    shedder._delay_ewma_s = 0.5
+                    shedder._last_observe = now
+                    shedder._above_since = now - 3.0
+                level = shedder.level
             records = await asyncio.gather(*steps)
             await client.close()
             await server.drain()
-            return exposition, level, records
+            return exposition, level, records, threads
 
-        exposition, level, records = asyncio.run(run())
+        loop_thread = threading.current_thread()
+        exposition, level, records, threads = asyncio.run(run())
         depth = next(
             float(line.split()[-1])
             for line in exposition.splitlines()
@@ -381,6 +390,8 @@ class TestGroupCommitQueue:
         assert depth >= 3
         assert level == 2
         assert [record["t"] for record in records] == [1, 1, 1, 1]
+        assert threads[0] is not loop_thread
+        assert threads[0].name.startswith("repro-step"), threads[0].name
 
     def test_a_faulting_member_fails_alone(self):
         """One session's engine error inside a shared ``step_many``
@@ -404,8 +415,7 @@ class TestGroupCommitQueue:
 
         async def run():
             server = ReleaseServer(
-                SessionManager(builder),
-                config=ServerConfig(batch_window_ms=20.0, workers=2),
+                SessionManager(builder), config=ServerConfig(workers=1)
             )
             await server.start()
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
@@ -414,9 +424,8 @@ class TestGroupCommitQueue:
             served = {name: [] for name in trajectories}
             for t in range(HORIZON):
                 names = [n for n in trajectories if not (n == "u1" and t > 2)]
-                results = await asyncio.gather(
-                    *[client.step(n, trajectories[n][t]) for n in names],
-                    return_exceptions=True,
+                results = await serve_round(
+                    server, [client.step(n, trajectories[n][t]) for n in names]
                 )
                 for name, result in zip(names, results):
                     served[name].append(result)
@@ -426,7 +435,9 @@ class TestGroupCommitQueue:
             return served, stats
 
         served, stats = asyncio.run(run())
-        assert stats["batching"]["max_batch"] == 4
+        # u0 alone, then u1..u3 in one batch: the fault at t=3 hits u1
+        # inside a shared step_many.
+        assert stats["batching"]["max_batch"] == 3
         fault = served["u1"][2]
         assert isinstance(fault, QuantificationError), fault
         assert [strip_elapsed(r) for r in served["u1"][:2]] == reference["u1"][:2]

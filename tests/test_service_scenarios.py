@@ -34,6 +34,8 @@ from repro.service import (
 )
 from repro.service.protocol import Request
 
+from topology import serve_round
+
 HORIZON = 6
 
 #: The server's flag-built default setting (5x5 map).
@@ -137,9 +139,14 @@ async def serve_mixed(
     steps: range | None = None,
     store=None,
     server_out: list | None = None,
+    coalesce: bool = False,
     **overrides,
 ):
-    """Drive a mixed-tenant fleet through one server; return the streams."""
+    """Drive a mixed-tenant fleet through one server; return the streams.
+
+    ``coalesce`` serves each timestamp through
+    :func:`~topology.serve_round` (needs ``workers=1``).
+    """
     store = store if store is not None else MemorySessionStore()
     engine = make_engine(shards, store)
     server = ReleaseServer(
@@ -157,12 +164,14 @@ async def serve_mixed(
         for name, (spec, _) in sessions.items():
             await client.open(name, seed=seed_for(name), scenario=spec)
     for t in steps if steps is not None else range(HORIZON):
-        records = await asyncio.gather(
-            *[
-                client.step(name, trajectory[t])
-                for name, (_, trajectory) in sessions.items()
-            ]
-        )
+        requests = [
+            client.step(name, trajectory[t])
+            for name, (_, trajectory) in sessions.items()
+        ]
+        if coalesce:
+            records = await serve_round(server, requests)
+        else:
+            records = await asyncio.gather(*requests)
         for name, record in zip(sessions, records):
             streams[name].append(strip_elapsed(record))
     stats = await client.stats()
@@ -220,13 +229,15 @@ class TestMixedScenarioServe:
                 sessions,
                 shards=0,
                 store=MemorySessionStore(),
+                coalesce=True,
+                workers=1,
                 max_resident=2,
-                batch_window_ms=5.0,
             )
         )
         assert churned == reference
         assert stats["sessions"]["evicted"] > 0
         assert stats["sessions"]["restored"] > 0
+        assert stats["batching"]["max_batch"] == len(sessions) - 1
 
     @pytest.mark.parametrize("shards_before,shards_after", [(2, 3), (2, 0), (0, 2)])
     def test_drain_and_restart_under_different_shard_count(

@@ -6,7 +6,9 @@ The load-bearing guarantees:
   ``SessionManager`` directly under the same seeds -- including when the
   residency cap forces eviction/restore round-trips through each
   ``SessionStore`` backend and steps run on the worker pool;
-* admission control answers with a typed ``busy`` error, never a hang;
+* admission control answers with a typed ``busy`` error, never a hang,
+  and an out-of-range serving knob is a typed error before anything
+  serves;
 * a graceful drain checkpoints every open session into the store, from
   which a fresh engine can continue the streams exactly.
 """
@@ -17,8 +19,9 @@ import threading
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.engine import SessionManager
-from repro.errors import ServiceBusyError, SessionError
+from repro.errors import ServiceBusyError, SessionError, ValidationError
 from repro.service import (
     AsyncServiceClient,
     DirectorySessionStore,
@@ -198,6 +201,30 @@ class TestAdmissionAndErrors:
         assert by_id[None]["error"]["code"] == "protocol"
         assert by_id[5]["error"]["code"] == "protocol"
         assert by_id[6]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "field,value,flag",
+        [
+            ("max_sessions", 0, "--max-sessions"),
+            ("max_resident", 0, "--max-resident"),
+            # A zero pending limit never reads a request: a hang.
+            ("max_pending_per_connection", 0, "--pending-per-connection"),
+            # Negative workers would step inline, past the sharded guard.
+            ("workers", -1, "--workers"),
+            ("slow_request_ms", 0.0, "--slow-request-ms"),
+            ("port", 65536, "--port"),
+            ("metrics_port", 65536, "--metrics-port"),
+            ("shed_target_ms", -1.0, "--shed-target-ms"),
+            ("shed_interval_ms", 0.0, "--shed-interval-ms"),
+        ],
+    )
+    def test_out_of_range_knob_is_a_typed_error(self, field, value, flag, capsys):
+        with pytest.raises(ValidationError, match=field):
+            ServerConfig(**{field: value})
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["serve", flag, str(value)])
+        assert exit_info.value.code == 2
+        assert field in capsys.readouterr().err
 
 
 class TestDrainAndRestart:

@@ -7,8 +7,8 @@ observe must stay invariant across the in-process, ``local`` and
 ``tcp`` topologies (see :mod:`topology`):
 
 * served release streams are bit-identical to driving a
-  ``SessionManager`` directly -- unbatched and with a micro-batching
-  window, across eviction/restore churn;
+  ``SessionManager`` directly -- concurrent, in coalesced batches of a
+  known size, and across eviction/restore churn;
 * a graceful drain checkpoints every session *through its owning
   worker* into the store, and a restarted server with a different worker
   count (or none) adopts and continues the streams exactly;
@@ -44,6 +44,7 @@ from topology import (
     make_manager,
     make_trajectories,
     open_backend,
+    serve_round,
     sessions_by_worker,
     strip_elapsed,
 )
@@ -67,12 +68,15 @@ async def serve_trajectories(
     finish: bool = True,
     steps: range = range(HORIZON),
     n_workers: int = 2,
+    coalesce: bool = False,
     **overrides,
 ):
     """Drive ``steps`` of every trajectory through a fresh server.
 
     Sessions are opened when ``steps`` starts at 0 (otherwise they are
-    adopted from ``store``).  Returns ``(streams, stats, drain summary)``.
+    adopted from ``store``).  ``coalesce`` serves each timestamp through
+    :func:`~topology.serve_round` (needs ``workers=1``).  Returns
+    ``(streams, stats, drain summary)``.
     """
     store = store if store is not None else MemorySessionStore()
     shards = 0 if topology == "inprocess" else n_workers
@@ -87,12 +91,14 @@ async def serve_trajectories(
             for i, name in enumerate(trajectories):
                 await client.open(name, seed=1000 + i)
         for t in steps:
-            records = await asyncio.gather(
-                *[
-                    client.step(name, trajectory[t])
-                    for name, trajectory in trajectories.items()
-                ]
-            )
+            requests = [
+                client.step(name, trajectory[t])
+                for name, trajectory in trajectories.items()
+            ]
+            if coalesce:
+                records = await serve_round(server, requests)
+            else:
+                records = await asyncio.gather(*requests)
             for name, record in zip(trajectories, records):
                 streams[name].append(strip_elapsed(record))
         stats = await client.stats()
@@ -117,11 +123,12 @@ class TestShardedStreamsBitIdentical:
         reference = direct_records(trajectories)
         for topology in ("local", "tcp"):
             batched, stats, _ = asyncio.run(
-                serve_trajectories(trajectories, topology, batch_window_ms=5.0)
+                serve_trajectories(trajectories, topology, coalesce=True, workers=1)
             )
             assert batched == reference, topology
             assert stats["batching"]["steps"] == 8 * HORIZON
-            assert stats["batching"]["max_batch"] >= 2
+            assert stats["batching"]["batches"] == 2 * HORIZON
+            assert stats["batching"]["max_batch"] == 7
 
     def test_sharded_serve_with_eviction_churn_matches_direct(self):
         trajectories = make_trajectories(6)

@@ -41,6 +41,7 @@ from test_service_server import (
     start_server,
     strip_elapsed,
 )
+from topology import held_step_batch, until
 
 
 def overloaded_shedder(
@@ -348,14 +349,14 @@ class TestServedShedding:
         assert shed.get("step|deadline", 0) == 1
 
     def test_batch_member_past_its_deadline_is_shed_alone(self):
-        """A step that waits out a 50 ms batch age past its 10 ms
-        deadline is shed in the flush, before it runs; its batch-mate
-        releases, and the shed step's retry keeps the stream exact."""
-        trajectories = make_trajectories(2)
+        """A step held in the queue past its 10 ms deadline is shed in
+        the flush, before it runs; its batch-mate releases, and the shed
+        step's retry keeps the stream exact."""
+        trajectories = make_trajectories(3)
         reference = direct_records(trajectories)
 
         async def run():
-            server = await start_server(batch_window_ms=50.0)
+            server = await start_server(workers=1)
             client = await AsyncServiceClient.connect("127.0.0.1", server.port)
             for i, name in enumerate(trajectories):
                 await client.open(name, seed=1000 + i)
@@ -364,27 +365,36 @@ class TestServedShedding:
             for t in range(HORIZON):
                 cells = {name: trajectory[t] for name, trajectory in trajectories.items()}
                 if t == 2:
-                    tight = asyncio.ensure_future(
-                        client.step("u0", cells["u0"], deadline_ms=10)
-                    )
-                    await asyncio.sleep(0.01)  # u0 queued first, u1 joins
-                    other = await client.step("u1", cells["u1"])
+                    # u2's step holds the only batch slot while u0 (10 ms
+                    # deadline) and u1 queue behind it as one batch.
+                    async with held_step_batch(server):
+                        held = asyncio.ensure_future(client.step("u2", cells["u2"]))
+                        await until(lambda: server._batcher.stats()["inflight"] == 1)
+                        tight = asyncio.ensure_future(
+                            client.step("u0", cells["u0"], deadline_ms=10)
+                        )
+                        other = asyncio.ensure_future(client.step("u1", cells["u1"]))
+                        await until(lambda: server._batcher.window_occupancy() == 2)
+                        await asyncio.sleep(0.05)  # u0 waits past its deadline
                     with pytest.raises(OverloadedError) as info:
                         await tight
                     shed_error = info.value
-                    served["u1"].append(other)
+                    served["u2"].append(await held)
+                    served["u1"].append(await other)
                     served["u0"].append(await client.step("u0", cells["u0"]))
                     continue
                 for name, cell in cells.items():
                     served[name].append(await client.step(name, cell))
             shed = server._metrics.snapshot()["shed"]
+            batching = (await client.stats())["batching"]
             await client.close()
             await server.drain()
-            return served, shed, shed_error
+            return served, shed, shed_error, batching
 
-        served, shed, shed_error = asyncio.run(run())
+        served, shed, shed_error, batching = asyncio.run(run())
         assert "waited" in str(shed_error), shed_error
         assert shed == {"step|deadline": 1}
+        assert batching["max_batch"] == 2
         for name, expected in reference.items():
             assert [strip_elapsed(r) for r in served[name]] == [
                 strip_elapsed(r) for r in expected

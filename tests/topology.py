@@ -6,14 +6,18 @@ Where a session runs must never change what it releases, so
 ``inprocess``, ``local`` (:meth:`ClusterBackend.spawn_local`, what
 ``repro serve --shards N`` builds) and over ``tcp`` (workers dialled by
 address, as ``--backend`` does).  The cluster suites share the engine
-setting and in-process reference from here too.
+setting and in-process reference from here too, and the served suites
+share :func:`held_step_batch` and :func:`serve_round`, which form
+batches by holding the step pool instead of waiting on a timer.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -160,3 +164,54 @@ def kill_worker(backend, address: str, timeout_s: float = 10.0) -> None:
             return  # dead, or already replaced by a recovery pass
         time.sleep(0.02)
     raise AssertionError(f"worker {address} still looks alive after SIGKILL")
+
+
+async def until(predicate, timeout_s: float = 10.0) -> None:
+    """Poll ``predicate`` on the event loop until it holds."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+@contextlib.asynccontextmanager
+async def held_step_batch(server):
+    """Hold every backend ``step_batch`` call of ``server`` until exit.
+
+    With ``workers=1`` the first held batch fills the server's only
+    batch slot, so the steps submitted meanwhile queue behind it; on
+    exit it completes and the queued steps flush as exactly one batch.
+    Yields the list of threads the held calls ran on.
+    """
+    release = threading.Event()
+    threads: list[threading.Thread] = []
+    step_batch = server._backend.step_batch
+
+    def held(cells):
+        threads.append(threading.current_thread())
+        release.wait(10)
+        return step_batch(cells)
+
+    server._backend.step_batch = held
+    try:
+        yield threads
+    finally:
+        release.set()
+        server._backend.step_batch = step_batch
+
+
+async def serve_round(server, requests: list) -> list:
+    """Serve step ``requests`` (coroutines) as exactly two batches.
+
+    The first request runs alone and is held inside ``step_batch``
+    until all the others have queued behind it, so they flush together
+    as one batch.  ``server`` must run ``workers=1``.  Returns the
+    replies in order, exceptions included.
+    """
+    assert server._executor.workers == 1, "serve_round needs workers=1"
+    async with held_step_batch(server):
+        tasks = [asyncio.ensure_future(requests[0])]
+        await until(lambda: server._batcher.stats()["inflight"] == 1)
+        tasks += [asyncio.ensure_future(request) for request in requests[1:]]
+        await until(lambda: server._batcher.window_occupancy() == len(tasks) - 1)
+    return await asyncio.gather(*tasks, return_exceptions=True)

@@ -12,6 +12,10 @@ only here -- workers are deliberately placement-ignorant:
   session's home can legitimately *change* (migration); the ring only
   decides initial placement and migration targets, so membership
   changes move ~1/N of the keyspace instead of reshuffling everything.
+  Opens, restores, drains and joins all land sessions through one loop
+  (:meth:`ClusterBackend._place`), which walks the ring successors past
+  dead or departed members, so a membership change racing a placement
+  lands the session on the next live worker instead of failing it.
 * **Containment** -- each RPC carries a deadline and each worker a
   heartbeat, so a dead or hung worker turns into typed
   :class:`~repro.errors.WorkerDownError` for exactly its assigned
@@ -38,6 +42,7 @@ N local ``repro worker`` processes and owns them -- the ``repro serve
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
@@ -48,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping
 
 from ..engine.backend import ExecutionBackend
-from ..engine.cache import CacheStats
 from ..engine.records import ReleaseLog, ReleaseRecord
 from ..engine.session import SessionState
 from ..errors import (
@@ -397,7 +401,7 @@ class ClusterBackend(ExecutionBackend):
         self.n_shards = len(normalized)
         self._replicas = int(replicas)
         self._heartbeat_timeout_s = float(heartbeat_timeout_s)
-        # Remembered so `join_worker` dials newcomers identically.
+        # Read by `_dial`, so runtime joins dial like the first fleet.
         self._rpc_timeout_s = rpc_timeout_s
         self._connect_timeout_s = float(connect_timeout_s)
         self._window = int(window)
@@ -416,38 +420,16 @@ class ClusterBackend(ExecutionBackend):
         self._closed = False
         self._stop_heartbeat = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
+        # The engine configuration every worker must run; the first
+        # worker dialled sets it (see `_dial`).
+        self._horizon: int | None = None
+        self._n_states: int | None = None
         try:
             for address in normalized:
-                self._handles[address] = WorkerHandle(
-                    address,
-                    max_frame_bytes=max_frame_bytes,
-                    window=window,
-                    rpc_timeout_s=rpc_timeout_s,
-                    connect_timeout_s=connect_timeout_s,
-                )
-            hellos = {
-                address: handle.hello(connect_timeout_s)
-                for address, handle in self._handles.items()
-            }
+                self._handles[address] = self._dial(address)
         except BaseException:
             self.close()
             raise
-        first = hellos[normalized[0]]
-        for address, info in hellos.items():
-            if (info["horizon"], info["n_states"]) != (
-                first["horizon"],
-                first["n_states"],
-            ):
-                self.close()
-                raise ServiceError(
-                    f"worker {address} runs a different engine configuration "
-                    f"(horizon={info['horizon']}, n_states={info['n_states']}) "
-                    f"than {normalized[0]} (horizon={first['horizon']}, "
-                    f"n_states={first['n_states']}); start every worker with "
-                    "the same engine flags as the router"
-                )
-        self._horizon = int(first["horizon"])
-        self._n_states = int(first["n_states"])
         self._ring: HashRing | None = None
         self._rebuild_ring()
         # Sized generously past the initial fleet: threads spawn lazily,
@@ -494,6 +476,38 @@ class ClusterBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # membership / placement
     # ------------------------------------------------------------------
+    def _dial(self, address: str) -> WorkerHandle:
+        """Connect to a worker and check its hello frame.
+
+        The worker must run the cluster's engine configuration (horizon
+        and map size); the first worker dialled sets it.  A mismatch
+        closes the handle and raises :class:`ServiceError`.
+        """
+        handle = WorkerHandle(
+            address,
+            max_frame_bytes=self._max_frame_bytes,
+            window=self._window,
+            rpc_timeout_s=self._rpc_timeout_s,
+            connect_timeout_s=self._connect_timeout_s,
+        )
+        try:
+            info = handle.hello(self._connect_timeout_s)
+            config = (int(info["horizon"]), int(info["n_states"]))
+            if self._horizon is None:
+                self._horizon, self._n_states = config
+            elif config != (self._horizon, self._n_states):
+                raise ServiceError(
+                    f"worker {handle.address} runs a different engine "
+                    f"configuration (horizon={config[0]}, n_states={config[1]}) "
+                    f"than this cluster (horizon={self._horizon}, "
+                    f"n_states={self._n_states}); start every worker with "
+                    "the same engine flags as the router"
+                )
+        except BaseException:
+            handle.close()
+            raise
+        return handle
+
     def _rebuild_ring(self) -> None:
         """Recompute the placement ring from live, non-draining workers.
 
@@ -606,14 +620,78 @@ class ClusterBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # session ops (assignment-routed, migration-aware)
     # ------------------------------------------------------------------
-    def _await_migration(self, session_id: str) -> bool:
-        """Wait out an in-progress migration of ``session_id`` (if any)."""
+    def _place(self, session_id: str, op: str, args) -> tuple[str, object]:
+        """Land a session on its first live ring successor via ``op``.
+
+        The one placement loop: ``open``, ``resume`` and the restores of
+        drains and joins all go through it.  Members that are dead or no
+        longer in the fleet (a ``leave_worker`` that raced this call)
+        are skipped, and a worker that dies under the call is marked
+        down and the next one tried.  On success the assignment is
+        recorded and any request waiting out the session's migration is
+        released.  Returns ``(address, result)``; raises
+        :class:`WorkerDownError` when no member takes the session.
+        """
+        ring = self._placement_ring()
+        last_error: BaseException | None = None
+        for address in ring.successors(session_id):
+            with self._lock:
+                handle = self._handles.get(address)
+            if handle is None or not handle.alive:
+                continue
+            try:
+                result = handle.call(op, args)
+            except WorkerDownError as error:
+                self._after_worker_down(address)
+                last_error = error
+                continue
+            with self._lock:
+                self._sessions[session_id] = address
+                event = self._migrating.pop(session_id, None)
+            if event is not None:
+                event.set()
+            return address, result
+        raise last_error if last_error is not None else WorkerDownError(
+            "no live cluster worker accepts placements"
+        )
+
+    @contextlib.contextmanager
+    def _moving(self, session_ids: Iterable[str]):
+        """Mark a move's sessions migrating until the move ends.
+
+        Requests that race the move wait on the mark (see
+        :meth:`_raced_migration`); :meth:`_place` releases each session
+        as it lands, and every mark left when the move ends -- done or
+        failed -- is released here.
+        """
+        session_ids = list(session_ids)
+        with self._lock:
+            for sid in session_ids:
+                self._migrating.setdefault(sid, threading.Event())
+        try:
+            yield
+        finally:
+            with self._lock:
+                events = [self._migrating.pop(sid, None) for sid in session_ids]
+            for event in events:
+                if event is not None:
+                    event.set()
+
+    def _raced_migration(self, session_id: str, address: str) -> bool:
+        """Whether a ``SessionError`` from ``address`` lost a migration race.
+
+        Waits out a migration of the session in flight (bounded), then
+        answers whether one ran or the assignment has moved off
+        ``address``.  When neither, the error is a genuine engine-side
+        one.
+        """
         with self._lock:
             event = self._migrating.get(session_id)
-        if event is None:
-            return False
-        event.wait(MIGRATION_WAIT_S)
-        return True
+        if event is not None:
+            event.wait(MIGRATION_WAIT_S)
+        with self._lock:
+            moved = self._sessions.get(session_id)
+        return event is not None or moved not in (None, address)
 
     def _call_session(self, session_id: str, op: str, args):
         """Route an op to the session's worker, retrying across a drain.
@@ -646,36 +724,14 @@ class ClusterBackend(ExecutionBackend):
                 self._after_worker_down(address)
                 raise
             except SessionError as error:
-                migrated = self._await_migration(session_id)
-                with self._lock:
-                    moved = self._sessions.get(session_id)
-                if not migrated and (moved is None or moved == address):
+                if not self._raced_migration(session_id, address):
                     raise  # a genuine engine-side session error
                 last_error = error
         assert last_error is not None
         raise last_error
 
     def open(self, session_id: str, seed: int | None = None, scenario=None) -> int:
-        ring = self._placement_ring()
-        last_error: BaseException | None = None
-        for address in ring.successors(session_id):
-            handle = self._handles[address]
-            if not handle.alive:
-                continue
-            try:
-                horizon = handle.call("open", (session_id, seed, scenario))
-            except WorkerDownError as error:
-                # Worker died under us: re-route the open to the next
-                # ring member instead of failing a fresh session.
-                self._after_worker_down(address)
-                last_error = error
-                continue
-            with self._lock:
-                self._sessions[session_id] = address
-            return horizon
-        raise last_error if last_error is not None else WorkerDownError(
-            "no live cluster worker accepts placements"
-        )
+        return self._place(session_id, "open", (session_id, seed, scenario))[1]
 
     def contains(self, session_id: str) -> bool:
         with self._lock:
@@ -735,16 +791,12 @@ class ClusterBackend(ExecutionBackend):
         # SessionError from their *old* worker; retry them on the new
         # assignment (rare: only while a drain is in flight).
         for sid in list(errors):
-            error = errors[sid]
-            if not isinstance(error, SessionError):
-                continue
             old = assignment.get(sid)
-            if old is None:
-                continue
-            migrated = self._await_migration(sid)
-            with self._lock:
-                moved = self._sessions.get(sid)
-            if not migrated and (moved is None or moved == old):
+            if (
+                not isinstance(errors[sid], SessionError)
+                or old is None
+                or not self._raced_migration(sid, old)
+            ):
                 continue
             try:
                 records[sid] = self._call_session(sid, "step", (sid, cells[sid]))
@@ -801,25 +853,7 @@ class ClusterBackend(ExecutionBackend):
         return states, lost
 
     def resume(self, state: SessionState) -> str:
-        ring = self._placement_ring()
-        session_id = state.session_id
-        last_error: BaseException | None = None
-        for address in ring.successors(session_id):
-            handle = self._handles[address]
-            if not handle.alive:
-                continue
-            try:
-                sid = handle.call("resume", state)
-            except WorkerDownError as error:
-                self._after_worker_down(address)
-                last_error = error
-                continue
-            with self._lock:
-                self._sessions[sid] = address
-            return sid
-        raise last_error if last_error is not None else WorkerDownError(
-            "no live cluster worker accepts placements"
-        )
+        return self._place(state.session_id, "resume", state)[1]
 
     # ------------------------------------------------------------------
     # migration
@@ -840,16 +874,17 @@ class ClusterBackend(ExecutionBackend):
         is unknown or no other live worker could take the sessions, and
         :class:`WorkerDownError` when the drained worker dies mid-drain
         (its unmigrated sessions are then reported by
-        :meth:`lost_session_ids`).
+        :meth:`lost_session_ids`) or no live worker is left to restore
+        a state onto.
         """
         normalized, _, _ = parse_address(address)
-        handle = self._handles.get(normalized)
-        if handle is None:
-            raise ServiceError(
-                f"unknown worker {address!r}; this cluster serves "
-                f"{self._addresses}"
-            )
         with self._lock:
+            handle = self._handles.get(normalized)
+            if handle is None:
+                raise ServiceError(
+                    f"unknown worker {address!r}; this cluster serves "
+                    f"{self._addresses}"
+                )
             self._draining.add(normalized)
             self._rebuild_ring()
             ring = self._ring
@@ -858,57 +893,31 @@ class ClusterBackend(ExecutionBackend):
                 for sid, assigned in self._sessions.items()
                 if assigned == normalized
             ]
-            for sid in moving:
-                self._migrating.setdefault(sid, threading.Event())
-        try:
-            if ring is None:
-                raise ServiceError(
-                    f"cannot drain {normalized}: no other live worker to "
-                    "migrate its sessions onto"
-                )
+        if ring is None:
+            raise ServiceError(
+                f"cannot drain {normalized}: no other live worker to "
+                "migrate its sessions onto"
+            )
+        with self._moving(moving):
+            # The ring no longer holds the draining worker, so every
+            # state lands on another member.
             states = handle.call("suspend_all")
-            targets: Counter[str] = Counter()
-            for state in states:
-                sid = state.session_id
-                placed = False
-                for target in ring.successors(sid):
-                    target_handle = self._handles[target]
-                    if not target_handle.alive or target == normalized:
-                        continue
-                    try:
-                        target_handle.call("resume", state)
-                    except WorkerDownError:
-                        self._after_worker_down(target)
-                        continue
-                    with self._lock:
-                        self._sessions[sid] = target
-                        event = self._migrating.pop(sid, None)
-                    if event is not None:
-                        event.set()
-                    targets[target] += 1
-                    placed = True
-                    break
-                if not placed:
-                    raise WorkerDownError(
-                        f"no live worker left to restore session {sid!r} "
-                        f"during the drain of {normalized}"
-                    )
-            return {
-                "worker": normalized,
-                "migrated": len(states),
-                "targets": dict(targets),
-                "remaining": [
-                    a
-                    for a in self._addresses
-                    if self._handles[a].alive and a not in self._draining
-                ],
-            }
-        finally:
-            with self._lock:
-                for sid in moving:
-                    event = self._migrating.pop(sid, None)
-                    if event is not None:
-                        event.set()
+            targets = Counter(
+                self._place(state.session_id, "resume", state)[0]
+                for state in states
+            )
+        with self._lock:
+            remaining = [
+                a
+                for a in self._addresses
+                if self._handles[a].alive and a not in self._draining
+            ]
+        return {
+            "worker": normalized,
+            "migrated": len(states),
+            "targets": dict(targets),
+            "remaining": remaining,
+        }
 
     # ------------------------------------------------------------------
     # dynamic membership
@@ -934,29 +943,7 @@ class ClusterBackend(ExecutionBackend):
                 raise ServiceError(
                     f"worker {normalized} is already a cluster member"
                 )
-        handle = WorkerHandle(
-            normalized,
-            max_frame_bytes=self._max_frame_bytes,
-            window=self._window,
-            rpc_timeout_s=self._rpc_timeout_s,
-            connect_timeout_s=self._connect_timeout_s,
-        )
-        try:
-            info = handle.hello(self._connect_timeout_s)
-            if (int(info["horizon"]), int(info["n_states"])) != (
-                self._horizon,
-                self._n_states,
-            ):
-                raise ServiceError(
-                    f"worker {normalized} runs a different engine "
-                    f"configuration (horizon={info['horizon']}, "
-                    f"n_states={info['n_states']}) than this cluster "
-                    f"(horizon={self._horizon}, n_states={self._n_states}); "
-                    "start it with the same engine flags"
-                )
-        except BaseException:
-            handle.close()
-            raise
+        handle = self._dial(normalized)
         with self._lock:
             old = self._handles.get(normalized)
             if old is not None and old.alive:
@@ -976,54 +963,30 @@ class ClusterBackend(ExecutionBackend):
             # Only the arcs the newcomer now owns move -- and only off
             # *live* homes (dead workers' sessions are the recovery
             # path's job, not migration's).
-            moving: list[tuple[str, str]] = []
-            if ring is not None:
-                for sid, home in self._sessions.items():
-                    if home == normalized:
-                        continue
-                    source = self._handles.get(home)
-                    if source is None or not source.alive:
-                        continue
-                    if ring.owner(sid) == normalized:
-                        moving.append((sid, home))
-            for sid, _ in moving:
-                self._migrating.setdefault(sid, threading.Event())
-        targets: Counter[str] = Counter()
-        try:
-            for sid, home in moving:
+            moving: dict[str, WorkerHandle] = {}
+            for sid, home in self._sessions.items():
                 source = self._handles.get(home)
-                if source is None:
-                    continue
+                if (
+                    ring is not None
+                    and home != normalized
+                    and source is not None
+                    and source.alive
+                    and ring.owner(sid) == normalized
+                ):
+                    moving[sid] = source
+        targets: Counter[str] = Counter()
+        with self._moving(moving):
+            for sid, source in moving.items():
                 try:
                     state = source.call("suspend", sid)
                 except SessionError:
                     continue  # finished/moved while we were migrating
                 except WorkerDownError:
-                    self._after_worker_down(home)
+                    self._after_worker_down(source.address)
                     continue  # recovery's problem now, not the join's
-                try:
-                    handle.call("resume", state)
-                    placed = normalized
-                except WorkerDownError:
-                    # The newcomer died mid-join: put the suspended
-                    # session back on any surviving member rather than
-                    # losing it.
-                    self._after_worker_down(normalized)
-                    self.resume(state)  # raises when nobody can take it
-                    with self._lock:
-                        placed = self._sessions[sid]
-                with self._lock:
-                    self._sessions[sid] = placed
-                    event = self._migrating.pop(sid, None)
-                if event is not None:
-                    event.set()
-                targets[placed] += 1
-        finally:
-            with self._lock:
-                for sid, _ in moving:
-                    event = self._migrating.pop(sid, None)
-                    if event is not None:
-                        event.set()
+                # The newcomer owns the arc, so it is tried first; if it
+                # died mid-join the session lands on the next survivor.
+                targets[self._place(sid, "resume", state)[0]] += 1
         return {
             "worker": normalized,
             "joined": True,
@@ -1133,29 +1096,6 @@ class ClusterBackend(ExecutionBackend):
     @property
     def n_states(self) -> int:
         return self._n_states
-
-    def cache_stats(self) -> CacheStats | None:
-        totals: CacheStats | None = None
-        for handle in list(self._handles.values()):
-            if not handle.alive:
-                continue
-            try:
-                stats = handle.call("cache_stats")
-            except Exception:  # noqa: BLE001 - died just now
-                continue
-            if stats is None:
-                continue
-            if totals is None:
-                totals = stats
-            else:
-                totals = CacheStats(
-                    hits=totals.hits + stats.hits,
-                    misses=totals.misses + stats.misses,
-                    evictions=totals.evictions + stats.evictions,
-                    size=totals.size + stats.size,
-                    maxsize=totals.maxsize + stats.maxsize,
-                )
-        return totals
 
     def shard_stats(self) -> list[dict]:
         """One observability row per worker (address included)."""

@@ -62,7 +62,6 @@ from random import Random
 from typing import Iterable, Iterator, Mapping
 
 from ..engine.backend import ExecutionBackend
-from ..engine.cache import CacheStats
 from ..engine.records import ReleaseLog, ReleaseRecord
 from ..engine.session import SessionState
 from ..errors import ReproError, WorkerDownError
@@ -684,9 +683,6 @@ class ClusterSupervisor(ExecutionBackend):
                 self._lost.pop(sid, None)
                 self._journal[sid] = StepJournal(state.committed_t)
         return sid
-
-    def cache_stats(self) -> CacheStats | None:
-        return self._backend.cache_stats()
 
     def shard_stats(self) -> list[dict] | None:
         return self._backend.shard_stats()

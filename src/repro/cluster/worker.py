@@ -125,10 +125,6 @@ def _worker_execute(manager: SessionManager, metrics, op: str, args, tracer=None
         states = [manager.suspend(sid) for sid in list(manager.session_ids)]
         metrics.record_session_event("evicted", len(states))
         return states
-    if op == "session_ids":
-        return manager.session_ids
-    if op == "cache_stats":
-        return manager.cache_stats()
     if op == "stats":
         cache = manager.cache_stats()
         return {
@@ -148,8 +144,6 @@ def _worker_execute(manager: SessionManager, metrics, op: str, args, tracer=None
                 "evictions": cache.evictions,
             },
         }
-    if op == "ping":
-        return "pong"
     raise ServiceError(f"unknown worker op {op!r}")
 
 
@@ -280,8 +274,11 @@ class WorkerServer:
 
     async def aclose(self) -> None:
         if self._server is not None:
+            # Stop accepting, but do not wait for routers to hang up:
+            # from Python 3.12.1 on, `wait_closed` waits for every open
+            # connection, so a SIGTERM drain would never finish while a
+            # router stays connected.
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         # Flush accepted work: every scheduled op runs on the engine
         # thread and writes its reply before we tear the loop down.
@@ -427,6 +424,11 @@ class WorkerServer:
                     task.add_done_callback(op_tasks.discard)
                     self._op_tasks.add(task)
                     task.add_done_callback(self._op_tasks.discard)
+        except asyncio.CancelledError:
+            # The loop is shutting down with this router still connected
+            # (a SIGTERM drain): close quietly.  Python 3.11's stream
+            # server would print a cancelled handler as a traceback.
+            pass
         finally:
             if op_tasks:
                 await asyncio.gather(*op_tasks, return_exceptions=True)

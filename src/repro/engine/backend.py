@@ -184,9 +184,14 @@ class ExecutionBackend(abc.ABC):
     def resume(self, state: SessionState) -> str:
         """Re-open a suspended session from its state; returns its id."""
 
-    @abc.abstractmethod
     def cache_stats(self) -> CacheStats | None:
-        """Verdict-cache counters, aggregated across shards."""
+        """Verdict-cache counters of an in-process engine (else ``None``).
+
+        Only :class:`InProcessBackend` has a cache to read here; worker
+        backends report each worker's counters in its
+        :meth:`shard_stats` row instead.
+        """
+        return None
 
     def shard_stats(self) -> list[dict] | None:
         """Per-shard/worker observability rows (``None`` in-process)."""

@@ -95,17 +95,11 @@ class ServerConfig:
     max_resident: int = 1_024
     max_pending_per_connection: int = 32
     workers: int | None = None  # None = cores (capped); 0 = inline
-    #: Capacity of the validated-scenario LRU fronting inline `open`
-    #: scenarios (evicted specs are simply re-validated on their next
-    #: submission; model interning lives in the engine, per digest).
-    max_cached_scenarios: int = 64
     #: Per-request tracing (trace/span ids, timed spans).  On by
     #: default: the buffers are bounded and the per-request cost is a
     #: few perf-counter reads; ``False`` swaps in the null tracer so
     #: every span call short-circuits.
     trace: bool = True
-    #: Spans kept in the recent-span ring buffer.
-    trace_capacity: int = 512
     #: Requests slower than this land in the slow-request ring too.
     slow_request_ms: float = 1000.0
     #: TCP port for the Prometheus/health sidecar listener (``None``
@@ -216,7 +210,6 @@ class ReleaseServer:
         self._scenarios = ScenarioRegistry(
             scenarios if scenarios is not None else (),
             allow_any=allow_any_scenario,
-            max_cached=self._config.max_cached_scenarios,
         )
         # Per-scenario observability: sid -> digest ("default" for the
         # flag-built configuration) and digest -> lifecycle counters.
@@ -231,10 +224,7 @@ class ReleaseServer:
                 "use workers >= 1 or shards=0"
             )
         self._tracer = (
-            Tracer(
-                capacity=self._config.trace_capacity,
-                slow_threshold_s=self._config.slow_request_ms / 1e3,
-            )
+            Tracer(slow_threshold_s=self._config.slow_request_ms / 1e3)
             if self._config.trace
             else NULL_TRACER
         )

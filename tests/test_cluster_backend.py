@@ -24,7 +24,12 @@ import pytest
 
 from repro.cluster.backend import ClusterBackend, WorkerHandle, parse_address
 from repro.cluster.frames import FRAME_HEADER
-from repro.cluster.worker import spawn_local_workers, stop_local_worker
+from repro.cluster.worker import (
+    spawn_local_worker,
+    spawn_local_workers,
+    stop_local_worker,
+)
+from repro.engine import SessionManager
 from repro.engine.session import SessionState
 from repro.errors import (
     FrameTooLargeError,
@@ -38,6 +43,7 @@ from topology import (
     HORIZON,
     N_CELLS,
     kill_worker,
+    make_builder,
     make_manager,
     make_trajectories,
     open_backend,
@@ -54,6 +60,32 @@ def spawn_fleet(n_workers: int = 2):
 def stop_fleet(procs):
     for process in procs:
         stop_local_worker(process)
+
+
+def make_longer_manager() -> SessionManager:
+    """The shared engine setting with a longer horizon."""
+    return SessionManager(make_builder().with_horizon(HORIZON + 2))
+
+
+def leave_on_first_placement(cluster, session_id: str) -> list[str]:
+    """Make the next placement race a ``leave_worker``.
+
+    The first ring lookup returns the ring it read, then the member
+    owning ``session_id`` leaves before the placement dials anyone.
+    Returns a list that receives the departed address.
+    """
+    lookup = cluster._placement_ring
+    departed: list[str] = []
+
+    def racing_lookup():
+        ring = lookup()
+        if not departed:
+            departed.append(ring.owner(session_id))
+            cluster.leave_worker(departed[0])
+        return ring
+
+    cluster._placement_ring = racing_lookup
+    return departed
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +133,28 @@ class TestConstruction:
             ClusterBackend([])
         with pytest.raises(ServiceError):
             ClusterBackend(["tcp://h:1", "h:1"])
+
+    def test_a_worker_on_another_engine_configuration_is_refused(self):
+        (proc_a, a), (proc_b, b) = (
+            spawn_local_worker(make_manager),
+            spawn_local_worker(make_longer_manager),
+        )
+        try:
+            with pytest.raises(
+                ServiceError, match="different engine configuration"
+            ) as refused:
+                ClusterBackend([a, b], heartbeat_interval_s=0)
+            assert b in str(refused.value)
+            with ClusterBackend([a], heartbeat_interval_s=0) as cluster:
+                with pytest.raises(
+                    ServiceError, match="different engine configuration"
+                ) as refused:
+                    cluster.join_worker(b)
+                assert b in str(refused.value)
+                assert cluster.worker_addresses() == [a]
+                assert cluster.n_shards == 1
+        finally:
+            stop_fleet([proc_a, proc_b])
 
     def test_config_snapshot(self, cluster, fleet):
         assert cluster.horizon == HORIZON
@@ -232,6 +286,30 @@ class TestMigration:
             cluster.open("solo", seed=1)
             with pytest.raises(ServiceError, match="no other live worker"):
                 cluster.drain_worker(cluster.worker_addresses()[0])
+
+    @pytest.mark.parametrize("op", ["open", "resume"])
+    def test_a_leave_that_races_a_placement_lands_on_the_survivor(self, op):
+        trajectories = make_trajectories(1, seed=37)
+        reference = reference_records(trajectories)
+        [(name, cells)] = trajectories.items()
+        with open_backend("local", heartbeat_interval_s=0) as cluster:
+            fleet = cluster.worker_addresses()
+            got = []
+            if op == "resume":
+                cluster.open(name, seed=1000)
+                got.append(strip(cluster.step(name, cells[0])))
+                state = cluster.suspend(name)
+            departed = leave_on_first_placement(cluster, name)
+            if op == "open":
+                assert cluster.open(name, seed=1000) == HORIZON
+            else:
+                assert cluster.resume(state) == name
+            (survivor,) = [a for a in fleet if a not in departed]
+            assert cluster.worker_addresses() == [survivor]
+            assert cluster.assignment_of(name) == survivor
+            for cell in cells[len(got):]:
+                got.append(strip(cluster.step(name, cell)))
+            assert got == reference[name]
 
 
 class TestContainment:

@@ -17,12 +17,31 @@ import time
 
 import pytest
 
-from repro.cluster.backend import WorkerHandle
+from repro.cluster.backend import ClusterBackend, WorkerHandle
 from repro.cluster.chaos import ChaosChannel, FaultInjector, FaultPlan
 from repro.cluster.worker import spawn_local_worker, stop_local_worker
 from repro.errors import ValidationError, WorkerDownError
 
 from topology import make_manager
+
+#: ``repro worker`` on an ephemeral loopback port with the suites'
+#: 4x4, horizon-6 engine.
+WORKER_COMMAND = [
+    sys.executable, "-m", "repro.cli", "worker",
+    "--listen", "127.0.0.1:0", "--horizon", "6",
+    "--rows", "4", "--cols", "4", "--event-window", "2", "4",
+]
+
+
+def cli_env() -> dict:
+    """The environment for a ``repro.cli`` child: this checkout's
+    ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    return env
 
 
 class TestFaultPlan:
@@ -226,20 +245,8 @@ class TestArmedWorker:
 
 class TestSigtermDrain:
     def test_sigterm_announces_leave(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
         process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "worker",
-                "--listen", "127.0.0.1:0", "--horizon", "6",
-                "--rows", "4", "--cols", "4", "--event-window", "2", "4",
-            ],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
+            WORKER_COMMAND, stdout=subprocess.PIPE, text=True, env=cli_env()
         )
         try:
             ready = json.loads(process.stdout.readline())
@@ -256,14 +263,34 @@ class TestSigtermDrain:
                 process.kill()
                 process.wait(10)
 
+    def test_sigterm_with_a_router_connected_exits_quietly(self):
+        process = subprocess.Popen(
+            WORKER_COMMAND,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=cli_env(),
+        )
+        try:
+            ready = json.loads(process.stdout.readline())
+            address = f"tcp://127.0.0.1:{ready['port']}"
+            with ClusterBackend([address], heartbeat_interval_s=0) as cluster:
+                cluster.open("u", seed=1)
+                process.send_signal(signal.SIGTERM)
+                out, err = process.communicate(timeout=30)
+            assert process.returncode == 0, err
+            lines = [json.loads(line) for line in out.splitlines()]
+            assert [line["op"] for line in lines] == ["leave", "worker-stopped"]
+            assert lines[0]["sessions"] == 1
+            assert "Traceback" not in err
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(10)
+
     def test_fault_plan_flag_validates(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kill_at_step": 0}))
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "worker",
@@ -271,7 +298,7 @@ class TestSigtermDrain:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=cli_env(),
             timeout=60,
         )
         assert result.returncode == 2

@@ -19,6 +19,10 @@ inline on the loop.  A worker grinding through a big ``step_batch``
 therefore still answers heartbeats immediately: a *busy* worker and a
 *hung* worker look different to the router.
 
+On stop, the shared :class:`~repro._listener.Listener` stops reading,
+lets every engine op already read write its reply, then closes the
+router connections; it never waits for a router to hang up.
+
 A worker is deliberately ignorant of the ring: placement and migration
 live entirely in :class:`~repro.cluster.ClusterBackend`.  Any session
 can be ``resume``\\ d here from a checkpoint taken anywhere, because
@@ -36,7 +40,6 @@ loopback port; ``repro serve --shards N`` is N of them behind
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import multiprocessing
 import os
@@ -45,6 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from .._listener import Listener
 from ..engine.backend import step_batch_on_manager
 from ..engine.manager import SessionManager
 from ..errors import FrameTooLargeError, ProtocolError, ServiceError
@@ -161,7 +165,6 @@ class WorkerServer:
     ):
         self._factory = factory
         self._host = host
-        self._requested_port = int(port)
         self._max_frame_bytes = int(max_frame_bytes)
         if capacity is not None and not capacity > 0:
             raise ServiceError(f"worker capacity must be > 0, got {capacity}")
@@ -179,11 +182,8 @@ class WorkerServer:
         self._faults = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
-        self._server: asyncio.AbstractServer | None = None
+        self._listener = Listener(self._serve_connection, host, int(port))
         self._stop_event: asyncio.Event | None = None
-        # In-flight engine-op tasks across all connections: a graceful
-        # drain flushes their replies before the process exits.
-        self._op_tasks: set[asyncio.Task] = set()
         # One thread: engine ops execute serially, in submission order.
         self._engine = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-worker-engine"
@@ -214,10 +214,8 @@ class WorkerServer:
         # responsive while it runs.
         self._manager = await loop.run_in_executor(self._engine, self._factory)
         self._metrics = ServiceMetrics()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._requested_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listener.start()
+        self.port = self._listener.port
 
     def _hello(self) -> dict:
         manager = self.manager
@@ -244,7 +242,7 @@ class WorkerServer:
             "pong": True,
             "capacity": self.capacity,
             "sessions": len(manager) if manager is not None else 0,
-            "queue_depth": len(self._op_tasks),
+            "queue_depth": self._listener.in_flight,
             "ewma_step_latency_s": self._ewma_step_s,
         }
 
@@ -270,29 +268,15 @@ class WorkerServer:
         """Block until :meth:`request_stop`, then tear the server down."""
         assert self._stop_event is not None
         await self._stop_event.wait()
-        await self.aclose()
-
-    async def aclose(self) -> None:
-        if self._server is not None:
-            # Stop accepting, but do not wait for routers to hang up:
-            # from Python 3.12.1 on, `wait_closed` waits for every open
-            # connection, so a SIGTERM drain would never finish while a
-            # router stays connected.
-            self._server.close()
-            self._server = None
-        # Flush accepted work: every scheduled op runs on the engine
-        # thread and writes its reply before we tear the loop down.
-        if self._op_tasks:
-            await asyncio.gather(*list(self._op_tasks), return_exceptions=True)
+        # Every engine op already read runs and flushes its reply before
+        # the engine thread stops.
+        await self._listener.close()
         self._engine.shutdown(wait=True)
 
-    async def _reply(self, writer, write_lock: asyncio.Lock, payload: bytes):
-        frame = pack_frame(payload, self._max_frame_bytes)
-        async with write_lock:
-            writer.write(frame)
-            await writer.drain()
+    async def _reply(self, send, payload: bytes) -> None:
+        await send(pack_frame(payload, self._max_frame_bytes))
 
-    async def _run_op(self, writer, write_lock, request_id, op, args, trace=None):
+    async def _run_op(self, send, request_id, op, args, trace=None):
         loop = asyncio.get_running_loop()
         started = time.perf_counter() if trace else 0.0
         if self._faults is not None:
@@ -332,111 +316,67 @@ class WorkerServer:
                 worker=self.port,
             )
         try:
-            await self._reply(writer, write_lock, payload)
+            await self._reply(send, payload)
         except FrameTooLargeError:
             await self._reply(
-                writer,
-                write_lock,
+                send,
                 encode_error(
                     ServiceError(f"worker op {op!r} produced an oversized reply"),
                     request_id,
                 ),
             )
-        except (ConnectionError, OSError):
-            pass  # router went away; its reconnect logic owns recovery
 
-    async def _serve_connection(self, reader, writer) -> None:
+    async def _serve_connection(self, reader, send, spawn) -> None:
         """One router connection: read calls, answer out-of-order.
 
         ``ping``/``hello`` are answered inline (heartbeats stay live
-        while the engine thread is busy); engine ops are scheduled as
+        while the engine thread is busy); engine ops are spawned as
         tasks that funnel through the single engine thread in arrival
         order.  Correlation ids let the router match the interleaved
         replies.
         """
-        write_lock = asyncio.Lock()
-        op_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(FRAME_HEADER.size)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                try:
-                    length = payload_length(header, self._max_frame_bytes)
-                except FrameTooLargeError as error:
-                    # The unread payload makes the stream unrecoverable:
-                    # answer once, then hang up.
-                    with contextlib.suppress(Exception):
-                        await self._reply(
-                            writer, write_lock, encode_error(error, None)
-                        )
-                    break
-                try:
-                    payload = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                try:
-                    message = decode_message(payload)
-                    if message["kind"] != "call":
-                        raise ProtocolError(
-                            f"worker expected a call frame, got "
-                            f"{message['kind']!r}"
-                        )
-                except Exception as error:  # noqa: BLE001 - malformed frame
-                    await self._reply(writer, write_lock, encode_error(error, None))
-                    continue
-                request_id, op, args = message["id"], message["op"], message["args"]
-                if op == "ping":
-                    if self._faults is not None and self._faults.blackholed():
-                        continue  # scripted partition: the ping vanishes
-                    await self._reply(
-                        writer, write_lock, encode_ok(self._load(), request_id)
-                    )
-                elif op == "hello":
-                    await self._reply(
-                        writer, write_lock, encode_ok(self._hello(), request_id)
-                    )
-                elif op == "shutdown":
-                    await self._reply(writer, write_lock, encode_ok(None, request_id))
-                    self.request_stop()
-                    break
-                else:
-                    if self._faults is not None:
-                        action = self._faults.on_engine_op(op, args)
-                        if action == "kill":
-                            # A real crash: no reply, no flush, no
-                            # cleanup -- the op is never acknowledged.
-                            os._exit(137)
-                        if action == "hang":
-                            continue  # accepted, never answered
-                    task = asyncio.get_running_loop().create_task(
-                        self._run_op(
-                            writer,
-                            write_lock,
-                            request_id,
-                            op,
-                            args,
-                            message.get("trace"),
-                        )
-                    )
-                    op_tasks.add(task)
-                    task.add_done_callback(op_tasks.discard)
-                    self._op_tasks.add(task)
-                    task.add_done_callback(self._op_tasks.discard)
-        except asyncio.CancelledError:
-            # The loop is shutting down with this router still connected
-            # (a SIGTERM drain): close quietly.  Python 3.11's stream
-            # server would print a cancelled handler as a traceback.
-            pass
-        finally:
-            if op_tasks:
-                await asyncio.gather(*op_tasks, return_exceptions=True)
-            writer.close()
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                header = await reader.readexactly(FRAME_HEADER.size)
+                length = payload_length(header, self._max_frame_bytes)
+                payload = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                return
+            except FrameTooLargeError as error:
+                # The unread payload makes the stream unrecoverable:
+                # answer once, then hang up.
+                await self._reply(send, encode_error(error, None))
+                return
+            try:
+                message = decode_message(payload)
+                if message["kind"] != "call":
+                    raise ProtocolError(
+                        f"worker expected a call frame, got {message['kind']!r}"
+                    )
+            except Exception as error:  # noqa: BLE001 - malformed frame
+                await self._reply(send, encode_error(error, None))
+                continue
+            request_id, op, args = message["id"], message["op"], message["args"]
+            if op == "ping":
+                if self._faults is not None and self._faults.blackholed():
+                    continue  # scripted partition: the ping vanishes
+                await self._reply(send, encode_ok(self._load(), request_id))
+            elif op == "hello":
+                await self._reply(send, encode_ok(self._hello(), request_id))
+            elif op == "shutdown":
+                await self._reply(send, encode_ok(None, request_id))
+                self.request_stop()
+                return
+            else:
+                if self._faults is not None:
+                    action = self._faults.on_engine_op(op, args)
+                    if action == "kill":
+                        # A real crash: no reply, no flush, no
+                        # cleanup -- the op is never acknowledged.
+                        os._exit(137)
+                    if action == "hang":
+                        continue  # accepted, never answered
+                spawn(self._run_op(send, request_id, op, args, message.get("trace")))
 
 
 async def _serve_until_signalled(server: WorkerServer, announce) -> int:

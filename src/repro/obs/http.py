@@ -15,6 +15,10 @@ Stdlib only, GET only, one response per connection (``Connection:
 close``) -- deliberately not a web framework.  Binding port 0 picks a
 free port; the bound port is in ``.port`` after ``start()`` so smoke
 tests and the serve announce line can report it.
+
+A client gets :data:`REQUEST_DEADLINE_S` to send its request line and
+headers, or it is hung up on; a line over 8 KiB gets a 400.  ``stop()``
+lets a response in flight finish but never waits for an idle client.
 """
 
 from __future__ import annotations
@@ -22,10 +26,14 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable
 
+from .._listener import Listener
+
 __all__ = ["ObsHttpServer"]
 
 _MAX_REQUEST_BYTES = 8192
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: Seconds a client has to send its request line and all its headers.
+REQUEST_DEADLINE_S = 10.0
 
 
 class ObsHttpServer:
@@ -42,85 +50,74 @@ class ObsHttpServer:
         self.port = port
         self._render_metrics = render_metrics
         self._readiness = readiness
-        self._server: asyncio.AbstractServer | None = None
+        # A longer line fails the read with ValueError (answered 400).
+        self._listener = Listener(self._handle, host, port, limit=_MAX_REQUEST_BYTES)
 
     async def start(self) -> None:
         """Bind and begin serving; updates ``.port`` when it was 0."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listener.start()
+        self.port = self._listener.port
 
     async def stop(self) -> None:
-        """Stop accepting and close the listener."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting and close every connection (idempotent)."""
+        await self._listener.close()
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle(self, reader: asyncio.StreamReader, send, spawn) -> None:
+        async def read_request_line() -> bytes:
+            # Drop the headers: bodies are not accepted on any path.
+            request_line = line = await reader.readline()
+            while line not in (b"", b"\r\n", b"\n"):
+                line = await reader.readline()
+            return request_line
+
         try:
-            try:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-            except (asyncio.TimeoutError, ConnectionError):
-                return
-            if not request_line or len(request_line) > _MAX_REQUEST_BYTES:
-                return
-            parts = request_line.decode("latin-1", "replace").split()
-            if len(parts) < 2:
-                await self._respond(writer, 400, "bad request\n")
-                return
-            method, path = parts[0], parts[1].split("?", 1)[0]
-            # Drain headers; bodies are not accepted on any path.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-            if method not in ("GET", "HEAD"):
-                await self._respond(writer, 405, "method not allowed\n")
-                return
-            if path == "/healthz":
-                await self._respond(writer, 200, "ok\n")
-            elif path == "/readyz":
-                ready, detail = (True, "ok")
-                if self._readiness is not None:
-                    try:
-                        ready, detail = self._readiness()
-                    except Exception as exc:  # noqa: BLE001
-                        ready, detail = False, f"readiness check failed: {exc}"
-                await self._respond(
-                    writer, 200 if ready else 503, f"{detail}\n"
-                )
-            elif path == "/metrics":
-                if self._render_metrics is None:
-                    await self._respond(writer, 404, "metrics disabled\n")
-                    return
+            request_line = await asyncio.wait_for(
+                read_request_line(), REQUEST_DEADLINE_S
+            )
+        except asyncio.TimeoutError:
+            return  # too slow: hang up
+        except ValueError:  # a line over the listener's limit
+            spawn(self._respond(send, 400, "bad request\n"))
+            return
+        if request_line:
+            spawn(self._answer(send, request_line))
+
+    async def _answer(self, send, request_line: bytes) -> None:
+        parts = request_line.decode("latin-1", "replace").split()
+        if len(parts) < 2:
+            await self._respond(send, 400, "bad request\n")
+            return
+        method, path = parts[0], parts[1].split("?", 1)[0]
+        if method not in ("GET", "HEAD"):
+            await self._respond(send, 405, "method not allowed\n")
+        elif path == "/healthz":
+            await self._respond(send, 200, "ok\n")
+        elif path == "/readyz":
+            ready, detail = (True, "ok")
+            if self._readiness is not None:
                 try:
-                    body = self._render_metrics()
-                    if asyncio.iscoroutine(body):
-                        body = await body
-                except Exception as exc:  # noqa: BLE001 - scrape must not kill serving
-                    await self._respond(writer, 500, f"render failed: {exc}\n")
-                    return
-                await self._respond(
-                    writer, 200, body, content_type=_PROM_CONTENT_TYPE
-                )
-            else:
-                await self._respond(writer, 404, "not found\n")
-        finally:
+                    ready, detail = self._readiness()
+                except Exception as exc:  # noqa: BLE001
+                    ready, detail = False, f"readiness check failed: {exc}"
+            await self._respond(send, 200 if ready else 503, f"{detail}\n")
+        elif path == "/metrics":
+            if self._render_metrics is None:
+                await self._respond(send, 404, "metrics disabled\n")
+                return
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                body = self._render_metrics()
+                if asyncio.iscoroutine(body):
+                    body = await body
+            except Exception as exc:  # noqa: BLE001 - scrape must not kill serving
+                await self._respond(send, 500, f"render failed: {exc}\n")
+                return
+            await self._respond(send, 200, body, content_type=_PROM_CONTENT_TYPE)
+        else:
+            await self._respond(send, 404, "not found\n")
 
     @staticmethod
     async def _respond(
-        writer: asyncio.StreamWriter,
+        send,
         status: int,
         body: str,
         content_type: str = "text/plain; charset=utf-8",
@@ -141,5 +138,4 @@ class ObsHttpServer:
             "Connection: close\r\n"
             "\r\n"
         ).encode("latin-1")
-        writer.write(head + payload)
-        await writer.drain()
+        await send(head + payload)

@@ -36,20 +36,22 @@ Concurrency model
   on their next request -- open-session count is decoupled from memory.
 
 Graceful drain: on ``request_drain()`` (wired to SIGINT/SIGTERM by the
-CLI) the server stops accepting, lets in-flight requests finish,
-checkpoints every resident session into the store and resolves
-:meth:`wait_drained` with a summary.
+CLI) the server stops accepting and reading, lets requests already read
+finish and flush their replies (for up to
+:data:`~repro._listener.CLOSE_GRACE_S`), closes every connection without
+waiting for a client to hang up or to read, checkpoints every resident
+session into the store and resolves :meth:`wait_drained` with a summary.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import signal
 import time
 import uuid
 from dataclasses import dataclass
 
+from .._listener import Listener
 from ..core.qp import kernel_stats as _solver_kernel_stats
 from ..core.two_world import front_stats as _front_stats
 from ..engine.backend import as_backend
@@ -253,10 +255,10 @@ class ReleaseServer:
         # eviction scans this, so its cost tracks max_resident, not the
         # total open-session count.
         self._resident_lru: dict[str, None] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._request_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._listener = Listener(
+            self._serve_connection, self._config.host, self._config.port,
+            MAX_FRAME_BYTES,
+        )
         self._draining = asyncio.Event()
         self._drained = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
@@ -316,7 +318,7 @@ class ReleaseServer:
         registry.gauge(
             "repro_connections",
             "Open client connections",
-            fn=lambda: len(self._writers),
+            fn=lambda: self._listener.connections,
         )
         registry.gauge(
             "repro_executor_queue_depth",
@@ -410,13 +412,8 @@ class ReleaseServer:
         # store: they count as open (admission) and restore on demand.
         for sid in self._store.ids():
             self._open.setdefault(sid, None)
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            host=self._config.host,
-            port=self._config.port,
-            limit=MAX_FRAME_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listener.start()
+        self.port = self._listener.port
         self._loop_probe.start()
         if self._config.metrics_port is not None:
             self._obs_http = ObsHttpServer(
@@ -449,14 +446,9 @@ class ReleaseServer:
         if self._drained.is_set():
             return self._drain_summary
         self._draining.set()
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        await asyncio.gather(*self._request_tasks, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        # Returns once every request already read has finished, so no
+        # step races the checkpoint below.
+        await self._listener.close()
         # Round-trip every resident session's state out of its owning
         # backend (worker processes included) into the store.  Sessions
         # on a dead worker cannot be checkpointed; they are counted,
@@ -466,11 +458,6 @@ class ReleaseServer:
             self._metrics.record_failure("sessions_lost", len(lost))
         for state in states:
             self._store.put(state)
-        for writer in list(self._writers):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        self._writers.clear()
         self._executor.shutdown()
         self._backend.close()
         if self._obs_http is not None:
@@ -488,68 +475,29 @@ class ReleaseServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
+    async def _serve_connection(self, reader, send, spawn) -> None:
         pending_slots = asyncio.Semaphore(self._config.max_pending_per_connection)
-        pending: set[asyncio.Task] = set()
-        eof = False
-        try:
-            while True:
-                await pending_slots.acquire()
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Over-long frame: the stream cannot be re-synced.
-                    pending_slots.release()
-                    error = ProtocolError(
-                        f"frame exceeds the {MAX_FRAME_BYTES}-byte limit"
-                    )
-                    self._metrics.record_error("protocol")
-                    await self._write(writer, write_lock, error_frame(None, error))
-                    eof = True
-                    break
-                if not line:
-                    pending_slots.release()
-                    eof = True
-                    break
-                if not line.strip():
-                    pending_slots.release()
-                    continue
-                request_task = asyncio.get_running_loop().create_task(
-                    self._handle_line(line, writer, write_lock, pending_slots)
+        while True:
+            await pending_slots.acquire()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # Over-long frame: the stream cannot be re-synced.
+                error = ProtocolError(
+                    f"frame exceeds the {MAX_FRAME_BYTES}-byte limit"
                 )
-                pending.add(request_task)
-                request_task.add_done_callback(pending.discard)
-                self._request_tasks.add(request_task)
-                request_task.add_done_callback(self._request_tasks.discard)
-        except asyncio.CancelledError:
-            # Drain: in-flight request tasks are awaited by drain(),
-            # which also closes the writer after their replies flush.
-            return
-        except ConnectionError:
-            eof = True
-        finally:
-            self._conn_tasks.discard(task)
-            if eof:
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-                self._writers.discard(writer)
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
+                self._metrics.record_error("protocol")
+                await send(error_frame(None, error))
+                return
+            if not line:
+                return
+            if not line.strip():
+                pending_slots.release()
+                continue
+            spawn(self._handle_line(line, send, pending_slots))
 
     async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        pending_slots: asyncio.Semaphore,
+        self, line: bytes, send, pending_slots: asyncio.Semaphore
     ) -> None:
         try:
             try:
@@ -557,7 +505,7 @@ class ReleaseServer:
             except ProtocolError as error:
                 self._metrics.record_error("protocol")
                 reply = error_frame(getattr(error, "request_id", None), error)
-                await self._write(writer, write_lock, reply)
+                await send(reply)
                 return
             self._metrics.record_request(request.op)
             # Brownout: while the shedder reports sustained overload,
@@ -577,7 +525,7 @@ class ReleaseServer:
                 reply = error_frame(request.request_id, error)
             if traced:
                 serialized = time.perf_counter()
-                await self._write(writer, write_lock, reply)
+                await send(reply)
                 done = time.perf_counter()
                 attrs = {"op": request.op}
                 if request.session is not None:
@@ -587,19 +535,9 @@ class ReleaseServer:
                 )
                 self._tracer.record("request", trace_id, done - started, **attrs)
             else:
-                await self._write(writer, write_lock, reply)
+                await send(reply)
         finally:
             pending_slots.release()
-
-    async def _write(
-        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, data: bytes
-    ) -> None:
-        async with write_lock:
-            if writer.is_closing():
-                return
-            with contextlib.suppress(ConnectionError):
-                writer.write(data)
-                await writer.drain()
 
     # ------------------------------------------------------------------
     # ops
@@ -900,7 +838,7 @@ class ReleaseServer:
             snapshot["verdict_cache"] = _merge_cache_rows(shard_rows)
         snapshot["server"] = {
             "draining": self._draining.is_set(),
-            "connections": len(self._writers),
+            "connections": self._listener.connections,
             "workers": self._executor.workers,
             "shards": self._backend.n_shards,
             "max_sessions": self._config.max_sessions,

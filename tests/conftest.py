@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
+import inspect
+import logging
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,79 @@ from repro.geo.grid import GridMap
 from repro.geo.regions import Region
 from repro.markov.synthetic import gaussian_kernel_transitions
 from repro.markov.transition import TransitionMatrix
+
+
+class _ErrorRecords(logging.Handler):
+    """Collects the ERROR records a logger emits."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def fail_on_asyncio_errors():
+    """Fail any test during which the asyncio loop logged an error.
+
+    The loop logs what no caller sees: an exception escaping a stream
+    server's connection handler (``Unhandled exception in
+    client_connected_cb``), a callback that raised (``Exception in
+    callback ...``), a task whose exception nobody read (``Task
+    exception was never retrieved``).
+    """
+    handler = _ErrorRecords()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "the asyncio loop logged errors:\n"
+            + "\n".join(handler.format(record) for record in handler.records),
+            pytrace=False,
+        )
+
+
+async def wait_closed_3121(self):
+    """``asyncio.base_events.Server.wait_closed`` as of Python 3.12.1.
+
+    It returns only once the server is closed *and* every connection to
+    it has dropped; Python 3.11 returns as soon as the server is closed.
+    """
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
+
+
+@pytest.fixture
+def py3121_wait_closed(monkeypatch, tmp_path):
+    """Give ``Server.wait_closed`` its Python 3.12.1 body, so a server
+    that waits for its peers to hang up hangs on 3.11 too.
+
+    The patch reaches child processes started with the test's
+    environment (``repro serve``, ``repro worker``) through a
+    ``sitecustomize`` module on ``PYTHONPATH``.
+    """
+    monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed_3121)
+    site = tmp_path / "py3121_site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import asyncio.base_events\n\n\n"
+        + inspect.getsource(wait_closed_3121)
+        + "\n\nasyncio.base_events.Server.wait_closed = wait_closed_3121\n"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv(
+        "PYTHONPATH", str(site) + (os.pathsep + inherited if inherited else "")
+    )
+
 
 #: The paper's Example III.1 / Appendix C transition matrix.
 PAPER_M = np.array(

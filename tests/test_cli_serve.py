@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -202,6 +203,56 @@ class TestServeProcess:
         finally:
             stop(proc2)
             assert proc2.returncode == 0
+
+
+class TestDrainWithClientsConnected:
+    """A SIGTERM'd ``repro serve`` drains while clients stay connected.
+
+    ``py3121_wait_closed`` reaches the server process too, so a drain
+    that waits for a client to hang up hangs here on Python 3.11 as it
+    does from 3.12.1 on.
+    """
+
+    def test_sigterm_with_an_idle_client_drains_and_exits(
+        self, tmp_path, py3121_wait_closed
+    ):
+        proc = start_serve(tmp_path)
+        try:
+            banner = json.loads(proc.stdout.readline())
+            with ServiceClient("127.0.0.1", banner["port"]) as client:
+                client.open("idle", seed=1)
+                out, err = stop(proc, signal.SIGTERM)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        drained = json.loads(out.strip().splitlines()[-1])
+        assert drained["op"] == "drained"
+        assert drained["sessions_checkpointed"] == 1
+        assert "Traceback" not in err
+
+    def test_sigterm_with_an_idle_metrics_connection_exits_at_once(
+        self, tmp_path, py3121_wait_closed
+    ):
+        proc = start_serve(tmp_path, "--metrics-port", "0")
+        try:
+            banner = json.loads(proc.stdout.readline())
+            with socket.create_connection(("127.0.0.1", banner["metrics_port"])):
+                # Connections are accepted in order: once this probe is
+                # answered, the idle connection is open in the server.
+                assert readyz(banner["metrics_port"]) == 200
+                started = time.monotonic()
+                out, err = stop(proc, signal.SIGTERM)
+                elapsed = time.monotonic() - started
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert json.loads(out.strip().splitlines()[-1])["op"] == "drained"
+        assert elapsed < 1.0
+        assert "Traceback" not in err
 
 
 def process_alive(pid: int) -> bool:

@@ -288,6 +288,13 @@ class TestSigtermDrain:
                 process.kill()
                 process.wait(10)
 
+    def test_router_connected_sigterm_under_3121_wait_closed(
+        self, py3121_wait_closed
+    ):
+        """The test above, with ``Server.wait_closed`` waiting for every
+        connection to drop as it does from Python 3.12.1 on."""
+        self.test_sigterm_with_a_router_connected_exits_quietly()
+
     def test_fault_plan_flag_validates(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kill_at_step": 0}))

@@ -1,11 +1,13 @@
 """The metrics/probe HTTP listener: paths, status codes, failure modes."""
 
 import asyncio
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.obs import http as obs_http
 from repro.obs.http import ObsHttpServer
 
 
@@ -217,3 +219,74 @@ class TestProtocolEdges:
             await server.stop()
 
         run(main())
+
+
+async def _raw_exchange(send) -> tuple[bytes, float, list]:
+    """Serve one raw client that runs ``send(writer)``.
+
+    Returns what the client read until the server hung up, the seconds
+    that took, and every context that reached the loop's exception
+    handler meanwhile.
+    """
+    errors: list = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: errors.append(context)
+    )
+    server = ObsHttpServer("127.0.0.1", 0, render_metrics=lambda: "repro_up 1\n")
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        started = time.monotonic()
+        sender = asyncio.ensure_future(send(writer))
+        try:
+            reply = await asyncio.wait_for(reader.read(), 10)
+        except ConnectionResetError:
+            reply = b""
+        elapsed = time.monotonic() - started
+        sender.cancel()
+        await asyncio.gather(sender, return_exceptions=True)
+        writer.close()
+    finally:
+        await server.stop()
+    return reply, elapsed, errors
+
+
+class TestRequestDeadline:
+    """The request line and the headers share one deadline; a client
+    that misses it, or sends an over-long line, is answered or hung up
+    on without an error reaching the loop's exception handler."""
+
+    def test_stalled_headers_are_hung_up_on(self, monkeypatch):
+        monkeypatch.setattr(obs_http, "REQUEST_DEADLINE_S", 0.3)
+
+        async def send(writer):
+            writer.write(b"GET /metrics HTTP/1.1\r\n")
+
+        reply, elapsed, errors = run(_raw_exchange(send))
+        assert reply == b""
+        assert 0.3 <= elapsed < 5.0
+        assert errors == []
+
+    def test_trickled_headers_are_hung_up_on_at_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(obs_http, "REQUEST_DEADLINE_S", 1.0)
+
+        async def send(writer):
+            writer.write(b"GET /metrics HTTP/1.1\r\n")
+            for i in range(60):
+                await asyncio.sleep(0.25)
+                writer.write(b"X-Trickle: %d\r\n" % i)
+
+        reply, elapsed, errors = run(_raw_exchange(send))
+        assert reply == b""
+        assert 1.0 <= elapsed < 5.0
+        assert errors == []
+
+    def test_over_long_request_line_is_a_400_or_a_hang_up(self):
+        async def send(writer):
+            writer.write(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+
+        reply, _, errors = run(_raw_exchange(send))
+        # A reset (the server closed with the line's tail unread) may
+        # beat the 400 to the client.
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 400 ")
+        assert errors == []

@@ -15,10 +15,13 @@ The load-bearing guarantees:
 
 import asyncio
 import json
+import socket
 import threading
+import time
 
 import pytest
 
+from repro import _listener
 from repro.cli import main as cli_main
 from repro.engine import SessionManager
 from repro.errors import ServiceBusyError, SessionError, ValidationError
@@ -35,9 +38,11 @@ from repro.service import (
 from topology import (  # noqa: F401 - test_service_shedding imports these
     HORIZON,
     direct_records,
+    held_step_batch,
     make_builder,
     make_trajectories,
     strip_elapsed,
+    until,
 )
 
 
@@ -312,6 +317,116 @@ class TestDrainAndRestart:
         reference = direct_records(trajectories)
         for name in trajectories:
             assert strip_elapsed(records[name]) == strip_elapsed(reference[name][1])
+
+
+class TestDrainWithClientsConnected:
+    """A drain never waits for a client to hang up or to read.
+
+    ``py3121_wait_closed`` gives ``Server.wait_closed`` the body it has
+    from Python 3.12.1 on, where it waits for every connection to drop.
+    """
+
+    def test_drain_flushes_held_steps_then_closes_the_client(
+        self, py3121_wait_closed
+    ):
+        names = ["a", "b", "c"]
+
+        async def run():
+            server = await start_server(workers=1)
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate(names):
+                await client.open(name, seed=1000 + i)
+            async with held_step_batch(server):
+                # One step held in the engine, two queued behind it.
+                steps = [asyncio.ensure_future(client.step(names[0], 0))]
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                steps += [
+                    asyncio.ensure_future(client.step(name, 0)) for name in names[1:]
+                ]
+                await until(lambda: server._batcher.window_occupancy() == 2)
+                drain = asyncio.ensure_future(server.drain())
+                await until(server._draining.is_set)
+            replies = await asyncio.wait_for(asyncio.gather(*steps), 10)
+            summary = await asyncio.wait_for(drain, 10)
+            await client.close()
+            return replies, summary
+
+        replies, summary = asyncio.run(run())
+        assert [reply["t"] for reply in replies] == [1, 1, 1]
+        assert summary["sessions_checkpointed"] == 3
+
+    def test_drain_waits_for_a_half_closed_clients_held_step(
+        self, py3121_wait_closed
+    ):
+        async def run():
+            server = await start_server(workers=1)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b'{"v": 1, "id": 1, "op": "open", "session": "a", "seed": 5}\n')
+            assert json.loads(await reader.readline())["ok"] is True
+            async with held_step_batch(server):
+                writer.write(
+                    b'{"v": 1, "id": 2, "op": "step", "session": "a", "cell": 0}\n'
+                )
+                writer.write_eof()
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                # Let the server read the EOF: the drain then finds the
+                # connection past its read loop, waiting on the step.
+                await asyncio.sleep(0.1)
+                drain = asyncio.ensure_future(server.drain())
+                await until(server._draining.is_set)
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            summary = await asyncio.wait_for(drain, 10)
+            writer.close()
+            return reply, summary, server.store.get("a")
+
+        reply, summary, stored = asyncio.run(run())
+        assert reply["ok"] is True and reply["t"] == 1
+        assert summary["sessions_checkpointed"] == 1
+        assert stored.committed_t == 1
+
+    def test_drain_is_bounded_when_a_client_stops_reading(self, monkeypatch):
+        """A client that pipelines requests and never reads a reply
+        fills the socket buffers; each request task then blocks writing
+        its reply.  The drain aborts that connection after the grace."""
+        monkeypatch.setattr(_listener, "CLOSE_GRACE_S", 0.5)
+
+        async def run():
+            server = await start_server()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate(["a", "b"]):
+                await client.open(name, seed=i)
+            await client.close()
+            raw = socket.socket()
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.connect(("127.0.0.1", server.port))
+            raw.setblocking(False)
+            _, writer = await asyncio.open_connection(sock=raw)
+            # Replies carry up to 512 spans, so the socket buffers fill
+            # long before the requests run out.  No drain: once the
+            # server stops reading, the rest waits in this transport.
+            for i in range(2000):
+                writer.write(b'{"v": 1, "id": %d, "op": "stats", "spans": 512}\n' % i)
+
+            def replies_blocked():
+                # Past the high-water mark every reply blocks until the
+                # client reads, which it never does.
+                return any(
+                    w.transport.get_write_buffer_size()
+                    > w.transport.get_write_buffer_limits()[1]
+                    for w in server._listener._connections.values()
+                )
+
+            await until(replies_blocked)
+            started = time.monotonic()
+            summary = await asyncio.wait_for(server.drain(), 10)
+            elapsed = time.monotonic() - started
+            writer.close()
+            return summary, elapsed
+
+        summary, elapsed = asyncio.run(run())
+        assert 0.5 <= elapsed < 5.0
+        assert summary["sessions_checkpointed"] == 2
+        assert summary["sessions_open"] == 2
 
 
 class TestCheckpointOpAndStats:

@@ -19,8 +19,7 @@ Six modes:
   swaps the in-process backend for N local ``repro worker`` processes
   (each owning a full engine) for near-linear multi-core scaling, and
   ``--backend tcp://w1:9001,tcp://w2:9002`` for ``repro worker``
-  processes on any machines.  Both run under the same
-  :class:`~repro.cluster.ClusterSupervisor` over a
+  processes on any machines.  Both run the same
   :class:`~repro.cluster.ClusterBackend` (consistent-hash placement,
   checkpoint-replay recovery, live migration via the ``migrate`` op).
 * ``repro worker`` -- one cluster node: a full engine behind a TCP
@@ -515,7 +514,7 @@ def _serve_main(argv: list[str]) -> int:
                      "--backend; worker RPCs must stay off the event loop")
     if args.checkpoint_every > 0 and not supervised:
         parser.error("--checkpoint-every requires --shards or --backend "
-                     "(the recovery supervisor wraps worker processes)")
+                     "(recovery heals worker processes)")
 
     standbys = [
         a for a in (s.strip() for s in (args.standby or "").split(",")) if a
@@ -525,28 +524,28 @@ def _serve_main(argv: list[str]) -> int:
         store = resolve_store(args.store, args.store_path)
         if supervised:
             from .cluster.backend import ClusterBackend
-            from .cluster.control import ClusterSupervisor
 
+            # Every worker fleet heals dead workers from store
+            # checkpoints + deterministic replay.
+            recovery = dict(
+                store=store,
+                checkpoint_every=args.checkpoint_every,
+                standbys=standbys,
+            )
             if args.backend:
-                backend = ClusterBackend(
-                    [a for a in (s.strip() for s in args.backend.split(",")) if a]
+                engine = ClusterBackend(
+                    [a for a in (s.strip() for s in args.backend.split(",")) if a],
+                    **recovery,
                 )
             else:
                 # Each local worker builds its own full engine from the
                 # parsed flags (functools.partial over a module-level
                 # function, so the factory survives `spawn` too).
-                backend = ClusterBackend.spawn_local(
-                    functools.partial(_stream_manager, args), args.shards
+                engine = ClusterBackend.spawn_local(
+                    functools.partial(_stream_manager, args),
+                    args.shards,
+                    **recovery,
                 )
-            # The supervisor wraps every worker fleet: it heals dead
-            # workers from store checkpoints + deterministic replay, and
-            # is inert overhead while the fleet is healthy.
-            engine = ClusterSupervisor(
-                backend,
-                store,
-                checkpoint_every=args.checkpoint_every,
-                standbys=standbys,
-            )
         else:
             engine = _stream_manager(args)
     except ReproError as error:

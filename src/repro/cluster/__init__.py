@@ -2,12 +2,11 @@
 
 This package is the multi-process
 :class:`~repro.engine.backend.ExecutionBackend`.  The serving layer
-drives a :class:`ClusterSupervisor` over a :class:`ClusterBackend`
-whose workers are ``repro worker`` processes reached over TCP -- N
-local ones spawned by ``repro serve --shards N``
-(:meth:`ClusterBackend.spawn_local`) or remote ones named by ``repro
-serve --backend tcp://...``.  Either way the placement, deadlines,
-recovery and migration below are the same code.
+drives one :class:`ClusterBackend` whose workers are ``repro worker``
+processes reached over TCP -- N local ones spawned by ``repro serve
+--shards N`` (:meth:`ClusterBackend.spawn_local`) or remote ones named
+by ``repro serve --backend tcp://...``.  Either way the placement,
+deadlines, recovery and migration below are the same code.
 
 Architecture -- three layers, bottom up
 ---------------------------------------
@@ -36,13 +35,15 @@ Architecture -- three layers, bottom up
     pipelines RPCs per worker under an in-flight window with deadlines
     and heartbeats (dead/hung workers become typed
     :class:`~repro.errors.WorkerDownError` for exactly their sessions),
-    and performs **live migration**: :meth:`ClusterBackend.drain_worker`
+    performs **live migration**: :meth:`ClusterBackend.drain_worker`
     checkpoints a worker's residency through the engine's exact
     ``suspend_all`` path and restores it onto the ring successors while
-    racing requests retry onto each session's new home -- no served
-    stream drops, and migrated streams stay bit-identical.
-    :class:`ClusterSupervisor` adds checkpoint-replay recovery of a
-    dead worker's sessions.
+    racing requests wait and then run on each session's new home -- no
+    served stream drops, and migrated streams stay bit-identical -- and,
+    given a durable store, **recovers** a dead worker's sessions by
+    checkpoint replay (:mod:`~repro.cluster.control` holds its retry
+    policy and step journal) and promotes pooled standbys into the
+    fleet.
 
 Wired end to end::
 
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 __all__ = [
     "ClusterBackend",
-    "ClusterSupervisor",
     "FaultPlan",
     "HashRing",
     "RetryPolicy",
@@ -76,7 +76,6 @@ _EXPORTS = {
     "ClusterBackend": ("backend", "ClusterBackend"),
     "WorkerHandle": ("backend", "WorkerHandle"),
     "parse_address": ("backend", "parse_address"),
-    "ClusterSupervisor": ("control", "ClusterSupervisor"),
     "RetryPolicy": ("control", "RetryPolicy"),
     "FaultPlan": ("chaos", "FaultPlan"),
     "HashRing": ("ring", "HashRing"),

@@ -1,21 +1,22 @@
-"""The cluster router: consistent-hash placement and live migration.
+"""The cluster router: placement, live migration and self-healing.
 
 :class:`ClusterBackend` implements the
 :class:`~repro.engine.backend.ExecutionBackend` surface over a fleet of
 ``repro worker`` processes reached by TCP (:class:`WorkerHandle`, one
-pipelined connection per worker).  Three responsibilities live here and
+pipelined connection per worker).  Four responsibilities live here and
 only here -- workers are deliberately placement-ignorant:
 
 * **Placement** -- new sessions land on the live, non-draining worker
   chosen by a consistent-hash ring (:mod:`repro.cluster.ring`).  The
   router keeps an explicit session->worker assignment map, because a
-  session's home can legitimately *change* (migration); the ring only
-  decides initial placement and migration targets, so membership
-  changes move ~1/N of the keyspace instead of reshuffling everything.
-  Opens, restores, drains and joins all land sessions through one loop
-  (:meth:`ClusterBackend._place`), which walks the ring successors past
-  dead or departed members, so a membership change racing a placement
-  lands the session on the next live worker instead of failing it.
+  session's home can legitimately *change* (migration, recovery); the
+  ring only decides initial placement and migration targets, so
+  membership changes move ~1/N of the keyspace instead of reshuffling
+  everything.  Opens, restores, drains, joins and recoveries all land
+  sessions through one loop (:meth:`ClusterBackend._place`), which
+  walks the ring successors past dead or departed members, so a
+  membership change racing a placement lands the session on the next
+  live worker instead of failing it.
 * **Containment** -- each RPC carries a deadline and each worker a
   heartbeat, so a dead or hung worker turns into typed
   :class:`~repro.errors.WorkerDownError` for exactly its assigned
@@ -25,10 +26,41 @@ only here -- workers are deliberately placement-ignorant:
 * **Migration** -- :meth:`drain_worker` marks a worker draining
   (no new placements), checkpoints its residency in one
   ``suspend_all`` RPC, and restores every state onto the ring
-  successors.  In-flight requests that race the drain retry onto the
-  session's new home, so a served stream never drops: the engine's
-  checkpoints are exact (see :class:`~repro.engine.SessionState`), and
-  a migrated stream is bit-identical to an unmigrated one.
+  successors.  The engine's checkpoints are exact (see
+  :class:`~repro.engine.SessionState`), so a migrated stream is
+  bit-identical to an unmigrated one.
+* **Recovery** -- with a durable ``store``, every acknowledged step is
+  journaled (:class:`~repro.cluster.control.StepJournal`) and every
+  ``checkpoint_every`` steps the session checkpoints into the store.
+  When a worker dies, a recovery pass restores each of its sessions
+  from the stored checkpoint onto a ring successor and replays the
+  journal, so the stream continues bit-identically; a session without
+  a usable checkpoint becomes a typed, recorded loss.  The pass then
+  replaces each dead member with a pooled ``standbys`` worker.  Without
+  a store there is no recovery: a dead worker's sessions stay typed
+  losses.
+
+Exactly-once replay: only *acknowledged* steps enter the journal.  A
+step the worker applied but never answered (it died mid-op) was never
+journaled, and the caller's retry re-issues it against the recovered
+session -- determinism makes the re-execution produce the original
+record, so the at-least-once wire becomes exactly-once history.
+
+Locks, in the order they are taken (never the reverse):
+
+1. ``_recovery_lock`` -- one recovery pass at a time.  It covers session
+   rescue and standby actuation, which reshape membership.  Nothing
+   waits for it while holding a session's exclusion.
+2. The per-session exclusion (:meth:`_session_op`): ops, batched waves,
+   drains, joins and recovery all hold it while they touch a session,
+   so a recovery's restore-and-replay, a migration and a client op
+   never interleave on one session.  Holders of several take them in
+   sorted session order.
+3. ``_lock`` -- one mutex over the bookkeeping: membership, the ring,
+   assignments, journals, recorded losses, counters and the standby
+   pool.  It is held only for reads and writes of that state, never
+   across an RPC or while waiting for another lock.
+4. Each :class:`WorkerHandle`'s own send, state and window locks.
 
 Per-worker **in-flight windows** (a bounded semaphore per handle) keep
 one slow worker from absorbing every router thread: callers queue at
@@ -46,6 +78,7 @@ import contextlib
 import itertools
 import os
 import random
+import socket
 import threading
 import time
 from collections import Counter
@@ -57,15 +90,17 @@ from ..engine.records import ReleaseLog, ReleaseRecord
 from ..engine.session import SessionState
 from ..errors import (
     FrameTooLargeError,
+    ReproError,
     ServiceError,
     SessionError,
+    ValidationError,
     WorkerDownError,
 )
 from ..obs.registry import LatencyHistogram
 from ..obs.trace import activate, deactivate
 from ..obs.trace import current as current_trace
 from .codec import decode_message, encode_call
-from .control import RetryPolicy
+from .control import RetryPolicy, StepJournal
 from .frames import MAX_RPC_FRAME_BYTES
 from .ring import DEFAULT_REPLICAS, HashRing
 from .transport import SocketChannel
@@ -84,11 +119,18 @@ DEFAULT_WINDOW = 32
 HEARTBEAT_INTERVAL_S = 5.0
 #: Seconds a heartbeat waits before declaring the worker unreachable.
 HEARTBEAT_TIMEOUT_S = 5.0
-#: Seconds a racing request waits for its session's migration to land.
-MIGRATION_WAIT_S = 60.0
 #: Seconds a spawned worker gets to exit after a shutdown RPC before
 #: it is terminated.
 SHUTDOWN_TIMEOUT_S = 10.0
+#: Seconds a call-path retry waits to join an in-progress recovery pass.
+RECOVERY_WAIT_S = 120.0
+#: Seconds recovery waits for a session's in-flight op before skipping
+#: it (the pass rescans and retries it).
+RECOVERY_SESSION_WAIT_S = 60.0
+#: Seconds between standby-pool health probes.
+STANDBY_CHECK_INTERVAL_S = 5.0
+#: Seconds one standby TCP probe waits before declaring it unreachable.
+STANDBY_PROBE_TIMEOUT_S = 2.0
 
 _UNSET = object()
 
@@ -358,6 +400,8 @@ class WorkerHandle:
         self._fail("closed by router")
 
 
+
+
 class ClusterBackend(ExecutionBackend):
     """A fleet of TCP workers behind the :class:`ExecutionBackend` surface.
 
@@ -375,6 +419,23 @@ class ClusterBackend(ExecutionBackend):
         Idle heartbeat period (0 disables the thread).
     replicas:
         Virtual ring points per worker (see :mod:`repro.cluster.ring`).
+    retry:
+        The :class:`~repro.cluster.control.RetryPolicy` of every retry
+        loop: an op healing across a worker death, and a recovery's
+        restore walking past a dying target.
+    store:
+        The durable :class:`~repro.service.store.SessionStore` that
+        recovery restores from.  ``None`` turns recovery off: a dead
+        worker's sessions stay typed losses.
+    checkpoint_every:
+        Journaled steps between automatic checkpoints into ``store``
+        (0 disables them; sessions then recover only from explicit
+        :meth:`checkpoint` calls).
+    standbys:
+        Idle worker addresses that a recovery pass promotes, in order,
+        into the place of a dead member.
+    standby_check_interval_s:
+        Period of the standby pool's TCP probes (0 disables them).
     """
 
     remote = True
@@ -391,7 +452,25 @@ class ClusterBackend(ExecutionBackend):
         max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
         replicas: int = DEFAULT_REPLICAS,
         retry: RetryPolicy | None = None,
+        store=None,
+        checkpoint_every: int = 0,
+        standbys: Iterable[str] = (),
+        standby_check_interval_s: float = STANDBY_CHECK_INTERVAL_S,
     ):
+        self._checkpoint_every = int(checkpoint_every)
+        if self._checkpoint_every < 0:
+            raise ValidationError(
+                f"checkpoint_every must be >= 0, got {checkpoint_every}"
+            )
+        # Warm standby pool, address -> last probe verdict, in promotion
+        # (FIFO) order; a promoted standby leaves the pool for good.
+        self._standbys: dict[str, bool] = dict.fromkeys(
+            (parse_address(a)[0] for a in standbys or ()), False
+        )
+        if store is None and (self._checkpoint_every or self._standbys):
+            raise ValidationError(
+                "checkpoint_every and standbys need a store to recover from"
+            )
         normalized = [parse_address(a)[0] for a in addresses]
         if not normalized:
             raise ServiceError("a cluster backend needs at least one worker")
@@ -406,20 +485,31 @@ class ClusterBackend(ExecutionBackend):
         self._connect_timeout_s = float(connect_timeout_s)
         self._window = int(window)
         self._max_frame_bytes = int(max_frame_bytes)
-        self._retry = retry if retry is not None else RetryPolicy(
-            deadline_s=MIGRATION_WAIT_S
-        )
+        self._retry = retry if retry is not None else RetryPolicy()
+        self._store = store
+        self._metrics = None
         self._handles: dict[str, WorkerHandle] = {}
         #: Worker processes this backend spawned and must stop on close.
         self._processes: dict = {}
         self._sessions: dict[str, str] = {}  # sid -> worker address
         self._draining: set[str] = set()
-        self._migrating: dict[str, threading.Event] = {}
-        self._worker_down_listeners: list = []
         self._lock = threading.Lock()
+        self._session_locks: dict[str, threading.Lock] = {}
+        self._recovery_lock = threading.Lock()
+        self._journal: dict[str, StepJournal] = {}
+        self._lost: dict[str, str] = {}  # sid -> human-readable reason
+        self._workers_recovered = 0
+        self._sessions_recovered = 0
+        self._steps_replayed = 0
+        self._sessions_lost = 0
+        self._standby_promotions = 0
+        # Last good membership snapshot, served while recovery holds the
+        # exclusive lock (see cluster_status).
+        self._status_cache: dict | None = None
         self._closed = False
-        self._stop_heartbeat = threading.Event()
-        self._heartbeat_thread: threading.Thread | None = None
+        # Stops the heartbeat and standby-probe threads.
+        self._closing = threading.Event()
+        self._threads: list[threading.Thread] = []
         # The engine configuration every worker must run; the first
         # worker dialled sets it (see `_dial`).
         self._horizon: int | None = None
@@ -440,13 +530,21 @@ class ClusterBackend(ExecutionBackend):
             thread_name_prefix="repro-cluster-rpc",
         )
         if heartbeat_interval_s and heartbeat_interval_s > 0:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(float(heartbeat_interval_s),),
-                name="repro-cluster-heartbeat",
-                daemon=True,
+            self._start(self._heartbeat_loop, heartbeat_interval_s, "heartbeat")
+        if self._standbys and standby_check_interval_s > 0:
+            self._start(
+                self._standby_check_loop, standby_check_interval_s, "standby-health"
             )
-            self._heartbeat_thread.start()
+
+    def _start(self, loop, interval_s: float, name: str) -> None:
+        thread = threading.Thread(
+            target=loop,
+            args=(float(interval_s),),
+            name=f"repro-cluster-{name}",
+            daemon=True,
+        )
+        thread.start()
+        self._threads.append(thread)
 
     @classmethod
     def spawn_local(cls, factory, n_workers: int, **options) -> "ClusterBackend":
@@ -472,6 +570,12 @@ class ClusterBackend(ExecutionBackend):
             raise
         backend._processes = {address: process for process, address in spawned}
         return backend
+
+    def bind_metrics(self, metrics) -> None:
+        """Attach the serving layer's :class:`ServiceMetrics` so
+        recoveries, losses and standby promotions land in the shared
+        counter families."""
+        self._metrics = metrics
 
     # ------------------------------------------------------------------
     # membership / placement
@@ -528,20 +632,19 @@ class ClusterBackend(ExecutionBackend):
             HashRing(members, self._replicas, weights) if members else None
         )
 
+    def _dead(self) -> set[str]:
+        """Members whose worker is down; the caller holds ``_lock``."""
+        return {a for a, handle in self._handles.items() if not handle.alive}
+
     def _heartbeat_loop(self, interval_s: float) -> None:
         # Jittered period: a large fleet of routers (or one router over
         # many workers) must not ping in lockstep and synchronize its
         # load spikes.
         rng = random.Random(os.getpid())
-        while not self._stop_heartbeat.wait(
-            interval_s * rng.uniform(0.8, 1.2)
-        ):
-            died = []
-            for address, handle in list(self._handles.items()):
+        while not self._closing.wait(interval_s * rng.uniform(0.8, 1.2)):
+            for handle in list(self._handles.values()):
                 if handle.alive and not handle.ping(self._heartbeat_timeout_s):
-                    died.append(address)
-            for address in died:
-                self._after_worker_down(address)
+                    self._after_worker_down()
 
     def _placement_ring(self) -> HashRing:
         with self._lock:
@@ -554,30 +657,31 @@ class ClusterBackend(ExecutionBackend):
         return ring
 
     def _assigned(self, session_id: str) -> str:
+        """The session's home: its recorded loss, or ``SessionError``,
+        when it has none."""
         with self._lock:
             address = self._sessions.get(session_id)
+            reason = self._lost.get(session_id)
+        if reason is not None:
+            raise WorkerDownError(reason)
         if address is None:
             raise SessionError(f"no open session {session_id!r}")
         return address
 
-    def _after_worker_down(self, address: str) -> None:
+    def _after_worker_down(self) -> None:
+        """A worker died: drop it from the ring and heal in the background.
+
+        Called from heartbeat sweeps and from the op path that first
+        trips over the dead worker; never blocks on the recovery pass.
+        """
         with self._lock:
             self._rebuild_ring()
-        for listener in list(self._worker_down_listeners):
-            try:
-                listener(address)
-            except Exception:  # noqa: BLE001 - listeners must not wedge ops
-                pass
-
-    def add_worker_down_listener(self, listener) -> None:
-        """Register ``listener(address)`` for worker-death notifications.
-
-        Fired from heartbeat sweeps *and* from the op path that first
-        trips over a dead worker; listeners must be fast and non-raising
-        (a :class:`~repro.cluster.control.ClusterSupervisor` hands the
-        actual recovery to a background thread).
-        """
-        self._worker_down_listeners.append(listener)
+        threading.Thread(
+            target=self._run_recoveries,
+            kwargs={"wait": False},
+            name="repro-cluster-recovery",
+            daemon=True,
+        ).start()
 
     def worker_addresses(self) -> list[str]:
         """The configured worker fleet, in construction order."""
@@ -589,47 +693,32 @@ class ClusterBackend(ExecutionBackend):
         with self._lock:
             return self._sessions.get(session_id)
 
-    def forget_session(self, session_id: str) -> None:
-        """Drop a session's assignment without touching any worker.
-
-        The recovery path's primitive: the old home is dead (nothing to
-        suspend), and the supervisor re-places the session via
-        :meth:`resume`.
-        """
-        with self._lock:
-            self._sessions.pop(session_id, None)
-
-    def down_assignments(self) -> dict[str, list[str]]:
-        """``address -> [session ids]`` for every *dead* worker.
-
-        The supervisor's work list: these sessions answer every op with
-        :class:`WorkerDownError` until they are recovered or forgotten.
-        """
-        with self._lock:
-            dead = {
-                address
-                for address, handle in self._handles.items()
-                if not handle.alive
-            }
-            out: dict[str, list[str]] = {address: [] for address in dead}
-            for sid, address in self._sessions.items():
-                if address in dead:
-                    out[address].append(sid)
-        return out
-
     # ------------------------------------------------------------------
-    # session ops (assignment-routed, migration-aware)
+    # session ops (assignment-routed, exclusive per session, healing)
     # ------------------------------------------------------------------
-    def _place(self, session_id: str, op: str, args) -> tuple[str, object]:
+    @contextlib.contextmanager
+    def _session_op(self, *session_ids: str):
+        """Hold the exclusion of ``session_ids``, taken in sorted order so
+        that two holders of several sessions never deadlock."""
+        with self._lock:
+            locks = [
+                self._session_locks.setdefault(sid, threading.Lock())
+                for sid in sorted(set(session_ids))
+            ]
+        with contextlib.ExitStack() as stack:
+            for lock in locks:
+                stack.enter_context(lock)
+            yield
+
+    def _place(self, session_id: str, op: str, args) -> tuple[WorkerHandle, object]:
         """Land a session on its first live ring successor via ``op``.
 
-        The one placement loop: ``open``, ``resume`` and the restores of
-        drains and joins all go through it.  Members that are dead or no
-        longer in the fleet (a ``leave_worker`` that raced this call)
-        are skipped, and a worker that dies under the call is marked
-        down and the next one tried.  On success the assignment is
-        recorded and any request waiting out the session's migration is
-        released.  Returns ``(address, result)``; raises
+        The one placement loop: ``open``, ``resume``, the restores of
+        drains and joins, and recovery all go through it.  Members that
+        are dead or no longer in the fleet (a ``leave_worker`` that
+        raced this call) are skipped, and a worker that dies under the
+        call is marked down and the next one tried.  On success the
+        assignment is recorded.  Returns ``(handle, result)``; raises
         :class:`WorkerDownError` when no member takes the session.
         """
         ring = self._placement_ring()
@@ -642,96 +731,90 @@ class ClusterBackend(ExecutionBackend):
             try:
                 result = handle.call(op, args)
             except WorkerDownError as error:
-                self._after_worker_down(address)
+                self._after_worker_down()
                 last_error = error
                 continue
             with self._lock:
                 self._sessions[session_id] = address
-                event = self._migrating.pop(session_id, None)
-            if event is not None:
-                event.set()
-            return address, result
+            return handle, result
         raise last_error if last_error is not None else WorkerDownError(
             "no live cluster worker accepts placements"
         )
 
-    @contextlib.contextmanager
-    def _moving(self, session_ids: Iterable[str]):
-        """Mark a move's sessions migrating until the move ends.
+    def _route(self, session_id: str) -> WorkerHandle:
+        """The session's worker: its recorded loss, or ``SessionError``,
+        when it has none."""
+        handle = self._handles.get(self._assigned(session_id))
+        if handle is None:  # a leave dropped the session with its dead home
+            raise SessionError(f"no open session {session_id!r}")
+        return handle
 
-        Requests that race the move wait on the mark (see
-        :meth:`_raced_migration`); :meth:`_place` releases each session
-        as it lands, and every mark left when the move ends -- done or
-        failed -- is released here.
-        """
-        session_ids = list(session_ids)
-        with self._lock:
-            for sid in session_ids:
-                self._migrating.setdefault(sid, threading.Event())
+    def _call(self, session_id: str, op: str, args):
+        """One RPC to the session's worker; the caller holds its exclusion."""
+        handle = self._route(session_id)
         try:
-            yield
-        finally:
-            with self._lock:
-                events = [self._migrating.pop(sid, None) for sid in session_ids]
-            for event in events:
-                if event is not None:
-                    event.set()
+            return handle.call(op, args)
+        except WorkerDownError:
+            self._after_worker_down()
+            raise
 
-    def _raced_migration(self, session_id: str, address: str) -> bool:
-        """Whether a ``SessionError`` from ``address`` lost a migration race.
+    def _call_session(self, session_id: str, op: str, args, then=None):
+        """Route one op to the session's worker, healing a worker death.
 
-        Waits out a migration of the session in flight (bounded), then
-        answers whether one ran or the assignment has moved off
-        ``address``.  When neither, the error is a genuine engine-side
-        one.
-        """
-        with self._lock:
-            event = self._migrating.get(session_id)
-        if event is not None:
-            event.wait(MIGRATION_WAIT_S)
-        with self._lock:
-            moved = self._sessions.get(session_id)
-        return event is not None or moved not in (None, address)
-
-    def _call_session(self, session_id: str, op: str, args):
-        """Route an op to the session's worker, retrying across a drain.
-
-        A request can race a migration: it resolves the old assignment,
-        the drain suspends the session, and the old worker answers
-        ``SessionError``.  The retry waits for the migration to land
-        (bounded), re-resolves the assignment and tries the new home --
-        so a served stream crosses a drain without dropping.  Attempts
-        and backoff come from the shared :class:`RetryPolicy` (the same
-        budget recovery races use); a genuine engine-side
-        ``SessionError`` -- no migration in flight, assignment unmoved
-        -- propagates immediately.
+        The op holds the session's exclusion, so it never interleaves
+        with a migration or a recovery of the same session; ``then``
+        (given the op's result) runs under it too.  When the worker is
+        down, the op runs (or joins) a recovery pass -- which restores
+        the session onto a live worker -- and retries under the shared
+        :class:`RetryPolicy`.  A session recovery gave up on raises its
+        recorded loss at once; without a store, so does the worker's
+        death.
         """
         last_error: BaseException | None = None
         for delay_s in self._retry.schedule():
             if delay_s:
                 time.sleep(delay_s)
-            address = self._assigned(session_id)
-            with self._lock:
-                handle = self._handles.get(address)
-            if handle is None:
-                # Membership changed between resolve and dispatch
-                # (`leave_worker` raced us); re-resolve on the next try.
-                last_error = SessionError(f"no open session {session_id!r}")
-                continue
-            try:
-                return handle.call(op, args)
-            except WorkerDownError:
-                self._after_worker_down(address)
-                raise
-            except SessionError as error:
-                if not self._raced_migration(session_id, address):
-                    raise  # a genuine engine-side session error
-                last_error = error
+            with self._session_op(session_id):
+                try:
+                    result = self._call(session_id, op, args)
+                except WorkerDownError as error:
+                    if self._store is None or session_id in self._lost:
+                        raise
+                    last_error = error
+                else:
+                    if then is not None:
+                        then(result)
+                    return result
+            # Outside the exclusion (recovery needs it): heal, retry.
+            self._run_recoveries(wait=True)
         assert last_error is not None
         raise last_error
 
     def open(self, session_id: str, seed: int | None = None, scenario=None) -> int:
-        return self._place(session_id, "open", (session_id, seed, scenario))[1]
+        return self._admit(session_id, "open", (session_id, seed, scenario), None)
+
+    def resume(self, state: SessionState) -> str:
+        return self._admit(state.session_id, "resume", state, state)
+
+    def _admit(self, session_id: str, op: str, args, state: SessionState | None):
+        """Place an opened (``state`` None) or resumed session and start
+        its journal.
+
+        With auto-checkpoints on, the session's position goes into the
+        store at once, so it is recoverable from its very first step.
+        """
+        with self._session_op(session_id):
+            handle, result = self._place(session_id, op, args)
+            with self._lock:
+                self._lost.pop(session_id, None)
+                self._journal[session_id] = StepJournal(
+                    state.committed_t if state is not None else 0
+                )
+            if self._checkpoint_every > 0:
+                if state is None:
+                    state = handle.call("checkpoint", session_id)
+                self._stored(state)
+        return result
 
     def contains(self, session_id: str) -> bool:
         with self._lock:
@@ -746,85 +829,85 @@ class ClusterBackend(ExecutionBackend):
             return list(self._sessions)
 
     def step(self, session_id: str, cell: int) -> ReleaseRecord:
-        return self._call_session(session_id, "step", (session_id, cell))
+        return self._call_session(
+            session_id,
+            "step",
+            (session_id, cell),
+            lambda _: self._note_step(session_id, cell),
+        )
 
     def step_batch(
         self, cells: Mapping[str, int]
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-        """One wave: at most one RPC per worker, racing drains retried."""
-        with self._lock:
-            assignment = {
-                sid: self._sessions.get(sid) for sid in cells
-            }
-            handles = dict(self._handles)
-        by_worker: dict[str, dict[str, int]] = {}
+        """One wave: at most one RPC per worker, under every member's
+        exclusion; members whose worker died heal and retry solo."""
         records: dict[str, ReleaseRecord] = {}
         errors: dict[str, BaseException] = {}
-        for sid, cell in cells.items():
-            address = assignment[sid]
-            if address is None or address not in handles:
-                errors[sid] = SessionError(f"no open session {sid!r}")
-            else:
-                by_worker.setdefault(address, {})[sid] = cell
-        ctx = current_trace()
-        futures = {
-            address: self._dispatch.submit(
-                _call_in_trace, ctx, handles[address], "step_batch", worker_cells
-            )
-            for address, worker_cells in by_worker.items()
-        }
-        for address, future in futures.items():
-            try:
-                worker_records, worker_errors = future.result()
-            except WorkerDownError as error:
-                self._after_worker_down(address)
-                for sid in by_worker[address]:
+        with self._session_op(*cells):
+            by_worker: dict[WorkerHandle, dict[str, int]] = {}
+            for sid, cell in cells.items():
+                try:
+                    handle = self._route(sid)
+                except ReproError as error:
                     errors[sid] = error
-                continue
-            except Exception as error:  # noqa: BLE001 - transport-level
-                for sid in by_worker[address]:
-                    errors[sid] = error
-                continue
-            records.update(worker_records)
-            errors.update(worker_errors)
-        # Members that lost a race with a migration answered
-        # SessionError from their *old* worker; retry them on the new
-        # assignment (rare: only while a drain is in flight).
-        for sid in list(errors):
-            old = assignment.get(sid)
-            if (
-                not isinstance(errors[sid], SessionError)
-                or old is None
-                or not self._raced_migration(sid, old)
-            ):
-                continue
-            try:
-                records[sid] = self._call_session(sid, "step", (sid, cells[sid]))
-                del errors[sid]
-            except Exception as retry_error:  # noqa: BLE001 - keep typed
-                errors[sid] = retry_error
+                    continue
+                by_worker.setdefault(handle, {})[sid] = cell
+            ctx = current_trace()
+            futures = {
+                handle: self._dispatch.submit(
+                    _call_in_trace, ctx, handle, "step_batch", worker_cells
+                )
+                for handle, worker_cells in by_worker.items()
+            }
+            for handle, future in futures.items():
+                try:
+                    worker_records, worker_errors = future.result()
+                except Exception as error:  # noqa: BLE001 - keep per member
+                    if isinstance(error, WorkerDownError):
+                        self._after_worker_down()
+                    errors.update(dict.fromkeys(by_worker[handle], error))
+                    continue
+                records.update(worker_records)
+                errors.update(worker_errors)
+            for sid in records:
+                self._note_step(sid, cells[sid])
+        # Members whose worker died heal and retry one at a time.
+        for sid, error in list(errors.items()):
+            if isinstance(error, WorkerDownError):
+                try:
+                    records[sid] = self.step(sid, cells[sid])
+                    del errors[sid]
+                except ReproError as retry_error:
+                    errors[sid] = retry_error
         return records, errors
 
     def peek_budget(self, session_id: str) -> float:
         return self._call_session(session_id, "peek_budget", session_id)
 
     def finish(self, session_id: str) -> ReleaseLog:
-        log = self._call_session(session_id, "finish", session_id)
-        with self._lock:
-            self._sessions.pop(session_id, None)
-        return log
+        return self._call_session(
+            session_id,
+            "finish",
+            session_id,
+            lambda _: self._forget(session_id, finished=True),
+        )
 
     def checkpoint(self, session_id: str) -> SessionState:
-        return self._call_session(session_id, "checkpoint", session_id)
+        return self._call_session(session_id, "checkpoint", session_id, self._stored)
 
     def suspend(self, session_id: str) -> SessionState:
-        state = self._call_session(session_id, "suspend", session_id)
-        with self._lock:
-            self._sessions.pop(session_id, None)
-        return state
+        return self._call_session(
+            session_id, "suspend", session_id, lambda _: self._forget(session_id)
+        )
 
     def suspend_all(self) -> tuple[list[SessionState], list[str]]:
-        """Drain the whole fleet; dead workers report their losses."""
+        """Drain the whole fleet; dead workers report their losses.
+
+        Recovery runs first, so a graceful drain after a worker death
+        checkpoints the recovered sessions instead of reporting them
+        lost.
+        """
+        self._run_recoveries(wait=True)
         futures = [
             (address, self._dispatch.submit(handle.call, "suspend_all"))
             for address, handle in list(self._handles.items())
@@ -838,22 +921,274 @@ class ClusterBackend(ExecutionBackend):
             except Exception:  # noqa: BLE001 - worker down mid-drain
                 failed.add(address)
         with self._lock:
-            dead = failed | {
-                address
-                for address, handle in self._handles.items()
-                if not handle.alive
-            }
+            dead = failed | self._dead()
             lost = [
                 sid
                 for sid, address in self._sessions.items()
                 if address in dead
             ]
             self._sessions.clear()
+            self._journal.clear()
             self._rebuild_ring()
         return states, lost
 
-    def resume(self, state: SessionState) -> str:
-        return self._place(state.session_id, "resume", state)[1]
+    # ------------------------------------------------------------------
+    # journaling / checkpointing
+    # ------------------------------------------------------------------
+    def _note_step(self, session_id: str, cell: int) -> None:
+        """Journal one acknowledged step; checkpoint when one is due.
+
+        The caller holds the session's exclusion, so a recovery never
+        replays a journal that lacks an acknowledged step.
+        """
+        with self._lock:
+            journal = self._journal.get(session_id)
+            if journal is None:
+                return
+            journal.cells.append(int(cell))
+            due = 0 < self._checkpoint_every <= len(journal.cells)
+        if due:
+            # A failed auto-checkpoint must not fail the acknowledged
+            # step: the journal still covers the gap, and the next op
+            # (or heartbeat) triggers recovery if the worker is gone.
+            with contextlib.suppress(ReproError):
+                self._stored(self._call(session_id, "checkpoint", session_id))
+
+    def _stored(self, state: SessionState) -> None:
+        """Make ``state`` the session's durable checkpoint and restart
+        its journal there; the caller holds the session's exclusion."""
+        if self._store is not None:
+            self._store.put(state)
+        with self._lock:
+            self._journal[state.session_id] = StepJournal(state.committed_t)
+
+    def _forget(self, session_id: str, finished: bool = False) -> None:
+        """Drop a session that left the fleet; the caller holds its
+        exclusion."""
+        with self._lock:
+            self._sessions.pop(session_id, None)
+            self._journal.pop(session_id, None)
+            if finished:
+                self._session_locks.pop(session_id, None)
+        if finished and self._checkpoint_every > 0:
+            # Drop the auto-checkpoint: a finished session must not be
+            # resurrected by a later restore-on-touch.
+            self._store.delete(session_id)
+
+    # ------------------------------------------------------------------
+    # recovery
+    # ------------------------------------------------------------------
+    def _run_recoveries(self, wait: bool = True) -> None:
+        """One exclusive pass: rescue every session on a dead worker.
+
+        Rescans until no dead worker holds assignments, so a cascade
+        (the recovery target dying mid-restore) is just another round,
+        then replaces dead members with standbys.  ``wait=False`` (the
+        background path) skips instead of queueing when a pass is
+        already running -- that pass sees any newly dead worker in its
+        rescan.  Without a store there is nothing to recover from, and a
+        closed backend recovers nothing.
+        """
+        if self._store is None:
+            return
+        if wait:
+            acquired = self._recovery_lock.acquire(timeout=RECOVERY_WAIT_S)
+        else:
+            acquired = self._recovery_lock.acquire(blocking=False)
+        if not acquired:
+            return
+        try:
+            if self._closed:
+                return  # close() waits out a pass only if it started first
+            while True:
+                stranded: dict[str, list[str]] = {}
+                with self._lock:
+                    dead = self._dead()
+                    for sid, address in self._sessions.items():
+                        if address in dead:
+                            stranded.setdefault(address, []).append(sid)
+                if not stranded:
+                    break
+                for address, sids in stranded.items():
+                    self._recover_worker(address, sids)
+            # Sessions are safe; now close the loop on membership: each
+            # dead member is replaced by a warm standby, no operator step.
+            self._actuate_standbys()
+        finally:
+            self._recovery_lock.release()
+
+    def _recover_worker(self, address: str, session_ids: list[str]) -> None:
+        recovered = replayed = 0
+        lost = 0
+        for sid in sorted(session_ids):
+            with self._lock:
+                lock = self._session_locks.setdefault(sid, threading.Lock())
+            if not lock.acquire(timeout=RECOVERY_SESSION_WAIT_S):
+                continue  # an op holds it; the rescan retries this session
+            try:
+                with self._lock:
+                    if self._sessions.get(sid) != address:
+                        continue  # already moved (a migration, say)
+                    del self._sessions[sid]
+                try:
+                    replayed += self._restore_and_replay(sid, address)
+                    recovered += 1
+                except WorkerDownError as error:
+                    with self._lock:
+                        self._lost[sid] = str(error)
+                        self._journal.pop(sid, None)
+                    lost += 1
+            finally:
+                lock.release()
+        with self._lock:
+            self._sessions_recovered += recovered
+            self._steps_replayed += replayed
+            self._sessions_lost += lost
+            if recovered or lost:
+                self._workers_recovered += 1
+        metrics = self._metrics
+        if metrics is not None:
+            if recovered:
+                metrics.record_recovery("worker")
+                metrics.record_recovery("session", recovered)
+                metrics.record_recovery("replayed_step", replayed)
+            if lost:
+                metrics.record_failure("sessions_lost", lost)
+
+    def _restore_and_replay(self, session_id: str, address: str) -> int:
+        """Restore the stored checkpoint on a live worker, replay the journal.
+
+        Returns the number of replayed steps.  A cascade (the restore
+        target dying mid-replay) starts over on the next ring successor,
+        under the retry policy.  Raises :class:`WorkerDownError` with the
+        loss's reason when the session cannot be rebuilt: no readable
+        checkpoint (a torn one must not wedge the pass), a checkpoint
+        the journal does not reach, or no live worker.  A checkpoint of
+        a session lost for want of workers stays in the store, so the
+        serving layer's restore-on-touch resumes it once capacity
+        returns.
+        """
+        try:
+            state = self._store.get(session_id)
+        except (ReproError, ValueError, KeyError, TypeError):
+            state = None
+        if state is None:
+            raise WorkerDownError(
+                f"session {session_id!r} was lost when worker {address} "
+                "died: no durable checkpoint to recover from"
+            )
+        with self._lock:
+            journal = self._journal.get(session_id) or StepJournal(
+                state.committed_t
+            )
+            cells = list(journal.cells)
+        # The store may be ahead of the journal base (a checkpoint taken
+        # outside it): replay only the cells past the stored position.
+        skip = state.committed_t - journal.base_t
+        if not 0 <= skip <= len(cells):
+            raise WorkerDownError(
+                f"session {session_id!r} was lost when worker {address} "
+                f"died: its durable checkpoint (t={state.committed_t}) does "
+                f"not meet its journal (t={journal.base_t}..{journal.base_t + len(cells)})"
+            )
+        last_error: BaseException | None = None
+        for delay_s in self._retry.schedule():
+            if delay_s:
+                time.sleep(delay_s)
+            try:
+                handle, _ = self._place(session_id, "resume", state)
+                for cell in cells[skip:]:
+                    handle.call("step", (session_id, cell))
+                return len(cells) - skip
+            except WorkerDownError as error:
+                last_error = error
+                with self._lock:
+                    self._sessions.pop(session_id, None)
+        raise WorkerDownError(
+            f"session {session_id!r} could not be recovered after worker "
+            f"{address} died: no live worker accepted its restored "
+            f"checkpoint ({last_error})"
+        )
+
+    def recovery_stats(self) -> dict:
+        """Counters for the ``stats`` op and ``cluster_status``."""
+        with self._lock:
+            return {
+                "checkpoint_every": self._checkpoint_every,
+                "workers_recovered": self._workers_recovered,
+                "sessions_recovered": self._sessions_recovered,
+                "steps_replayed": self._steps_replayed,
+                "sessions_lost": self._sessions_lost,
+                "journaled_sessions": len(self._journal),
+                "standby_promotions": self._standby_promotions,
+                "standbys_pooled": len(self._standbys),
+            }
+
+    # ------------------------------------------------------------------
+    # standby pool (the membership actuator)
+    # ------------------------------------------------------------------
+    def _standby_check_loop(self, interval_s: float) -> None:
+        while not self._closing.wait(interval_s):
+            with self._lock:
+                pool = list(self._standbys)
+            for address in pool:
+                _, host, port = parse_address(address)
+                try:
+                    socket.create_connection(
+                        (host, port), timeout=STANDBY_PROBE_TIMEOUT_S
+                    ).close()
+                    healthy = True
+                except OSError:
+                    healthy = False
+                with self._lock:
+                    if address in self._standbys:
+                        self._standbys[address] = healthy
+
+    def _actuate_standbys(self) -> None:
+        """Replace each dead member with a warm standby.
+
+        The operator runbook (``repro cluster … leave`` the corpse,
+        ``join`` a replacement) as a closed loop: for every dead member
+        still in the fleet, drop it and ``join`` the next standby --
+        which dials, verifies the hello frame, and live-migrates exactly
+        the arcs the newcomer now owns.  Runs inside the exclusive
+        recovery pass, *after* session rescue, so the corpse holds no
+        assignments by the time it leaves.  Without a standby left the
+        corpse stays in membership (readiness keeps reporting the hole
+        rather than silently shrinking the fleet).
+        """
+        while True:
+            with self._lock:
+                dead = sorted(self._dead())
+                if not dead or not self._standbys:
+                    return
+            try:
+                self._remove(dead[0])
+            except ReproError:
+                pass  # a racing membership op already dropped it
+            while True:
+                with self._lock:
+                    if not self._standbys:
+                        return
+                    standby = next(iter(self._standbys))
+                    del self._standbys[standby]
+                try:
+                    self.join_worker(standby)
+                    break
+                except ReproError:
+                    continue  # this standby is gone too; try the next
+            with self._lock:
+                self._standby_promotions += 1
+            if self._metrics is not None:
+                self._metrics.record_standby_promotion()
+
+    def standby_status(self) -> list[dict]:
+        """One row per pooled standby (address + last probe verdict)."""
+        with self._lock:
+            return [
+                {"worker": address, "healthy": healthy}
+                for address, healthy in self._standbys.items()
+            ]
 
     # ------------------------------------------------------------------
     # migration
@@ -864,10 +1199,11 @@ class ClusterBackend(ExecutionBackend):
         Marks the worker draining (the ring immediately stops placing
         new sessions there), checkpoints its full residency via one
         ``suspend_all`` RPC, and restores each state onto its ring
-        successor.  Requests racing the drain retry onto the new home
-        (see :meth:`_call_session`), so no served stream drops.  The
-        worker stays connected afterwards -- stats still show it, it
-        just owns nothing -- and is typically stopped by its operator.
+        successor, holding the exclusion of every moving session, so
+        requests racing the drain wait for it and then run on the new
+        home -- no served stream drops.  The worker stays connected
+        afterwards -- stats still show it, it just owns nothing -- and
+        is typically stopped by its operator.
 
         Returns a summary: ``{"worker", "migrated", "targets",
         "remaining"}``.  Raises :class:`ServiceError` when the address
@@ -898,12 +1234,12 @@ class ClusterBackend(ExecutionBackend):
                 f"cannot drain {normalized}: no other live worker to "
                 "migrate its sessions onto"
             )
-        with self._moving(moving):
+        with self._session_op(*moving):
             # The ring no longer holds the draining worker, so every
             # state lands on another member.
             states = handle.call("suspend_all")
             targets = Counter(
-                self._place(state.session_id, "resume", state)[0]
+                self._place(state.session_id, "resume", state)[0].address
                 for state in states
             )
         with self._lock:
@@ -975,18 +1311,18 @@ class ClusterBackend(ExecutionBackend):
                 ):
                     moving[sid] = source
         targets: Counter[str] = Counter()
-        with self._moving(moving):
+        with self._session_op(*moving):
             for sid, source in moving.items():
                 try:
                     state = source.call("suspend", sid)
                 except SessionError:
                     continue  # finished/moved while we were migrating
                 except WorkerDownError:
-                    self._after_worker_down(source.address)
+                    self._after_worker_down()
                     continue  # recovery's problem now, not the join's
                 # The newcomer owns the arc, so it is tried first; if it
                 # died mid-join the session lands on the next survivor.
-                targets[self._place(sid, "resume", state)[0]] += 1
+                targets[self._place(sid, "resume", state)[0].address] += 1
         return {
             "worker": normalized,
             "joined": True,
@@ -1000,14 +1336,24 @@ class ClusterBackend(ExecutionBackend):
 
         A *live* member is drained first (:meth:`drain_worker` -- its
         sessions live-migrate to the ring successors), then dropped from
-        the fleet and disconnected.  A *dead* member is simply dropped;
-        any sessions still assigned to it are reported in the summary's
-        ``"lost"`` list (with a supervisor in front, recovery has
-        already rescued the recoverable ones).  Removing the last live
-        worker is refused.
+        the fleet and disconnected.  A *dead* member's sessions are
+        recovered first; any still assigned to it are dropped and
+        reported in the summary's ``"lost"`` list.  Removing the last
+        live worker is refused.
 
         Returns ``{"worker", "migrated", "lost", "workers"}``.
         """
+        self._run_recoveries(wait=True)
+        try:
+            return self._remove(address)
+        except WorkerDownError:
+            # The leaver died after the recovery pass but before (or
+            # during) its drain: the failed RPC just marked it dead, so
+            # heal from checkpoints and retake the dead-member path.
+            self._run_recoveries(wait=True)
+            return self._remove(address)
+
+    def _remove(self, address: str) -> dict:
         normalized, _, _ = parse_address(address)
         with self._lock:
             handle = self._handles.get(normalized)
@@ -1051,40 +1397,58 @@ class ClusterBackend(ExecutionBackend):
         }
 
     def cluster_status(self) -> dict:
-        """A no-RPC membership snapshot (probe-safe, like health rows)."""
+        """A no-RPC membership snapshot (probe-safe, like health rows).
+
+        While a recovery pass holds the exclusive lock -- membership is
+        actively being reshaped -- the last snapshot is served with
+        ``"cached": true``, so operators can watch a recovery rather
+        than being locked out of it.  Recovery counters and standby rows
+        are always live.
+        """
+        in_recovery = self._recovery_lock.locked()
         with self._lock:
-            counts = Counter(self._sessions.values())
-            ring = self._ring
-            workers = [
-                {
-                    "worker": address,
-                    "alive": self._handles[address].alive,
-                    "draining": address in self._draining,
-                    "pid": self._handles[address].pid,
-                    "sessions": counts.get(address, 0),
-                    "heartbeat_age_s": round(
-                        time.monotonic() - self._handles[address].last_heartbeat,
-                        3,
-                    ),
-                    "capacity": self._handles[address].capacity,
-                    "ring_points": (
-                        ring.points_of(address) if ring is not None else 0
-                    ),
-                    "load": {
-                        k: v
-                        for k, v in self._handles[address].load.items()
-                        if k != "pong"
+            if in_recovery and self._status_cache is not None:
+                status = dict(self._status_cache, cached=True)
+            else:
+                counts = Counter(self._sessions.values())
+                ring = self._ring
+                status = {
+                    "workers": [
+                        {
+                            "worker": address,
+                            "alive": self._handles[address].alive,
+                            "draining": address in self._draining,
+                            "pid": self._handles[address].pid,
+                            "sessions": counts.get(address, 0),
+                            "heartbeat_age_s": round(
+                                time.monotonic()
+                                - self._handles[address].last_heartbeat,
+                                3,
+                            ),
+                            "capacity": self._handles[address].capacity,
+                            "ring_points": (
+                                ring.points_of(address) if ring is not None else 0
+                            ),
+                            "load": {
+                                k: v
+                                for k, v in self._handles[address].load.items()
+                                if k != "pong"
+                            },
+                        }
+                        for address in self._addresses
+                    ],
+                    "sessions": len(self._sessions),
+                    "ring": {
+                        "members": list(ring.members) if ring is not None else [],
+                        "replicas": self._replicas,
                     },
+                    "cached": False,
                 }
-                for address in self._addresses
-            ]
-            ring_members = list(ring.members) if ring is not None else []
-            total = len(self._sessions)
-        return {
-            "workers": workers,
-            "sessions": total,
-            "ring": {"members": ring_members, "replicas": self._replicas},
-        }
+                self._status_cache = status
+        status = dict(status)
+        status["recovery"] = self.recovery_stats()
+        status["standbys"] = self.standby_status()
+        return status
 
     # ------------------------------------------------------------------
     # observability
@@ -1155,16 +1519,15 @@ class ClusterBackend(ExecutionBackend):
         ]
 
     def lost_session_ids(self) -> list[str]:
-        """Sessions assigned to workers that are down (unreachable)."""
+        """Sessions recovery gave up on, and those on workers that are
+        down and not (yet) recovered."""
         with self._lock:
-            dead = {
-                address
-                for address, handle in self._handles.items()
-                if not handle.alive
-            }
-            return [
-                sid for sid, address in self._sessions.items() if address in dead
-            ]
+            dead = self._dead()
+            return sorted(
+                set(self._lost).union(
+                    sid for sid, address in self._sessions.items() if address in dead
+                )
+            )
 
     def close(self) -> None:
         """Disconnect from the fleet (idempotent).
@@ -1177,12 +1540,18 @@ class ClusterBackend(ExecutionBackend):
         if self._closed:
             return
         self._closed = True
-        self._stop_heartbeat.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(1.0)
+        self._closing.set()
+        for thread in self._threads:
+            thread.join(1.0)
+        # No pass starts once closed; one already running may still be
+        # joining a standby, so let it finish before closing handles.
+        if self._recovery_lock.acquire(timeout=RECOVERY_WAIT_S):
+            self._recovery_lock.release()
+        with self._lock:
+            handles = dict(self._handles)
         asked = set()
         for address in self._processes:
-            handle = self._handles.get(address)
+            handle = handles.get(address)
             if handle is None or not handle.alive:
                 continue
             try:
@@ -1192,7 +1561,7 @@ class ClusterBackend(ExecutionBackend):
             except Exception:  # noqa: BLE001 - terminated below instead
                 continue
             asked.add(address)
-        for handle in self._handles.values():
+        for handle in handles.values():
             handle.close()
         for address, process in self._processes.items():
             stop_local_worker(

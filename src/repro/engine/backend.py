@@ -2,7 +2,7 @@
 
 The serving layer drives sessions through a narrow, synchronous
 :class:`ExecutionBackend` surface instead of touching a
-:class:`~repro.engine.manager.SessionManager` directly.  Three
+:class:`~repro.engine.manager.SessionManager` directly.  Two
 implementations exist:
 
 * :class:`InProcessBackend` -- a thin adapter over one
@@ -12,14 +12,12 @@ implementations exist:
 * :class:`~repro.cluster.ClusterBackend` -- N ``repro worker``
   processes, each owning a full ``SessionManager``, reached over TCP
   with a typed RPC codec, placed by a consistent-hash ring, with live
-  session migration between workers (see :mod:`repro.cluster`).  The
-  workers run on this machine (``--shards N``, so engine CPU leaves the
-  caller's process and a multi-core machine serves near-linearly in
-  cores instead of contending on one GIL) or on any machines
-  (``--backend``).
-* :class:`~repro.cluster.ClusterSupervisor` -- wraps a cluster backend
-  with checkpoint-replay recovery; ``repro serve`` always drives
-  workers through it.
+  session migration between workers and, given a durable store,
+  checkpoint-replay recovery of a dead worker's sessions (see
+  :mod:`repro.cluster`).  The workers run on this machine (``--shards
+  N``, so engine CPU leaves the caller's process and a multi-core
+  machine serves near-linearly in cores instead of contending on one
+  GIL) or on any machines (``--backend``).
 
 Every method is synchronous and thread-safe to call from worker
 threads; async plumbing, per-session ordering locks and residency/LRU

@@ -26,8 +26,15 @@ def gaussian_kernel_transitions(
     """Gaussian-kernel transition matrix on a grid (the paper's generator).
 
     ``M[i, j] proportional to exp(-d(i, j)^2 / (2 sigma^2))`` where ``d`` is
-    the centre-to-centre distance.  Every row is strictly positive, so the
-    chain is ergodic for any sigma.
+    the centre-to-centre distance.  In float64 an entry underflows to
+    exactly 0.0 once ``d^2 / (2 sigma^2)`` exceeds about 745, so every
+    entry is positive (and the chain ergodic) only while the largest
+    distance on the map stays below about ``38.6 * sigma``: on a 20x20
+    map that needs sigma above about 0.7 cells.  Below that the chain
+    has zero entries; on that map sigma = 0.1 leaves every diagonal
+    entry at exactly 1.0 (the largest off-diagonal entry is 1.9e-22),
+    and sigma = 0.01 returns exactly the identity, a chain that never
+    moves.
 
     Parameters
     ----------

@@ -29,7 +29,6 @@ bottom::
       -> repro.engine.backend      -- ExecutionBackend: where fleet work
                                      runs.  InProcessBackend (one
                                      SessionManager, this process) or a
-                                     ClusterSupervisor over a
                                      ClusterBackend (repro.cluster):
                                      `repro worker` processes, each
                                      owning a full manager -- N local

@@ -2,10 +2,9 @@
 
 The backend is either the in-process :class:`SessionManager` adapter
 (single process, worker-thread offload) or a
-:class:`~repro.cluster.ClusterSupervisor` over worker processes
-(``repro serve --shards N`` or ``--backend``), selected by the CLI; the
-server's admission, ordering, eviction and drain logic is identical for
-both.
+:class:`~repro.cluster.ClusterBackend` over worker processes (``repro
+serve --shards N`` or ``--backend``), selected by the CLI; the server's
+admission, ordering, eviction and drain logic is identical for both.
 
 Concurrency model
 -----------------
@@ -174,7 +173,7 @@ class ReleaseServer:
     ``engine`` may be a :class:`~repro.engine.SessionManager` (wrapped
     into the in-process backend, the historical single-process path) or
     any :class:`~repro.engine.backend.ExecutionBackend` -- notably a
-    :class:`~repro.cluster.ClusterSupervisor` over N worker processes,
+    :class:`~repro.cluster.ClusterBackend` over N worker processes,
     which spreads the fleet for near-linear core scaling.
 
     Multi-tenancy: ``open`` accepts an inline
@@ -201,9 +200,9 @@ class ReleaseServer:
         self._store = store if store is not None else MemorySessionStore()
         self._config = config if config is not None else ServerConfig()
         self._metrics = metrics if metrics is not None else ServiceMetrics()
-        # A supervising backend (ClusterSupervisor) counts recoveries
-        # and losses itself; hand it the server's sink so they land in
-        # the same families the stats op and /metrics render.
+        # A cluster backend counts recoveries and losses itself; hand
+        # it the server's sink so they land in the same families the
+        # stats op and /metrics render.
         bind = getattr(self._backend, "bind_metrics", None)
         if bind is not None:
             bind(self._metrics)
@@ -722,26 +721,32 @@ class ReleaseServer:
             "state": state.to_json(),
         }
 
+    async def _cluster_call(self, request: Request, method: str, *args):
+        """Run a cluster-only backend method off the event loop.
+
+        ``migrate``, ``join``, ``leave`` and ``cluster_status`` need a
+        worker backend (``--shards`` or ``--backend``); on any other
+        they answer with a typed ``service`` error.
+        """
+        call = getattr(self._backend, method, None)
+        if call is None:
+            raise ServiceError(
+                f"this server's backend has no cluster workers; "
+                f"{request.op!r} requires --shards or --backend"
+            )
+        return await asyncio.get_running_loop().run_in_executor(None, call, *args)
+
     async def _op_migrate(self, request: Request) -> dict:
         """Drain one cluster worker's sessions onto the remaining ring.
 
-        Only meaningful for worker backends (``--shards`` or
-        ``--backend``).  The drain runs off the event loop -- it is
-        one ``suspend_all`` RPC plus a ``resume`` per session -- while
-        racing step requests retry transparently onto each session's
-        new home inside the backend.
+        The drain runs off the event loop -- it is one ``suspend_all``
+        RPC plus a ``resume`` per session -- while racing step requests
+        wait for it inside the backend and then run on each session's
+        new home.
         """
         if self._draining.is_set():
             raise ServiceBusyError("server is draining; try again later")
-        drain = getattr(self._backend, "drain_worker", None)
-        if drain is None:
-            raise ServiceError(
-                "this server's backend has no migratable workers; "
-                "'migrate' requires --shards or --backend"
-            )
-        summary = await asyncio.get_running_loop().run_in_executor(
-            None, drain, request.worker
-        )
+        summary = await self._cluster_call(request, "drain_worker", request.worker)
         self._metrics.record_session_event("migrated", summary["migrated"])
         return summary
 
@@ -753,15 +758,7 @@ class ReleaseServer:
         """
         if self._draining.is_set():
             raise ServiceBusyError("server is draining; try again later")
-        join = getattr(self._backend, "join_worker", None)
-        if join is None:
-            raise ServiceError(
-                "this server's backend has fixed membership; "
-                "'join' requires --shards or --backend"
-            )
-        summary = await asyncio.get_running_loop().run_in_executor(
-            None, join, request.worker
-        )
+        summary = await self._cluster_call(request, "join_worker", request.worker)
         self._metrics.record_session_event(
             "migrated", summary.get("migrated", 0)
         )
@@ -771,15 +768,7 @@ class ReleaseServer:
         """Remove one worker from the cluster (draining it first when live)."""
         if self._draining.is_set():
             raise ServiceBusyError("server is draining; try again later")
-        leave = getattr(self._backend, "leave_worker", None)
-        if leave is None:
-            raise ServiceError(
-                "this server's backend has fixed membership; "
-                "'leave' requires --shards or --backend"
-            )
-        summary = await asyncio.get_running_loop().run_in_executor(
-            None, leave, request.worker
-        )
+        summary = await self._cluster_call(request, "leave_worker", request.worker)
         self._metrics.record_session_event(
             "migrated", summary.get("migrated", 0)
         )
@@ -790,13 +779,7 @@ class ReleaseServer:
 
     async def _op_cluster_status(self, request: Request) -> dict:
         """The cluster membership snapshot (no worker RPCs)."""
-        status = getattr(self._backend, "cluster_status", None)
-        if status is None:
-            raise ServiceError(
-                "this server's backend is not a cluster; "
-                "'cluster_status' requires --shards or --backend"
-            )
-        return await asyncio.get_running_loop().run_in_executor(None, status)
+        return await self._cluster_call(request, "cluster_status")
 
     async def _op_stats(self, request: Request | None = None) -> dict:
         spans = 0

@@ -245,23 +245,24 @@ class TestArmedWorker:
 
 class TestSigtermDrain:
     def test_sigterm_announces_leave(self, tmp_path):
-        process = subprocess.Popen(
+        # The context manager closes the stdout pipe on the way out.
+        with subprocess.Popen(
             WORKER_COMMAND, stdout=subprocess.PIPE, text=True, env=cli_env()
-        )
-        try:
-            ready = json.loads(process.stdout.readline())
-            assert ready["op"] == "worker" and ready["port"] > 0
-            process.send_signal(signal.SIGTERM)
-            lines = [json.loads(line) for line in process.stdout]
-            assert process.wait(30) == 0
-            ops = [line["op"] for line in lines]
-            assert ops == ["leave", "worker-stopped"]
-            assert lines[0]["port"] == ready["port"]
-            assert lines[0]["sessions"] == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(10)
+        ) as process:
+            try:
+                ready = json.loads(process.stdout.readline())
+                assert ready["op"] == "worker" and ready["port"] > 0
+                process.send_signal(signal.SIGTERM)
+                lines = [json.loads(line) for line in process.stdout]
+                assert process.wait(30) == 0
+                ops = [line["op"] for line in lines]
+                assert ops == ["leave", "worker-stopped"]
+                assert lines[0]["port"] == ready["port"]
+                assert lines[0]["sessions"] == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(10)
 
     def test_sigterm_with_a_router_connected_exits_quietly(self):
         process = subprocess.Popen(

@@ -1,6 +1,7 @@
 """The self-healing control plane: retry policy, recovery, membership.
 
-The load-bearing guarantees of :mod:`repro.cluster.control`:
+The load-bearing guarantees of a :class:`~repro.cluster.ClusterBackend`
+recovering from a durable store:
 
 * a worker kill with a durable store and auto-checkpointing costs zero
   sessions: every stream recovers onto the ring successor, replays past
@@ -14,10 +15,16 @@ The load-bearing guarantees of :mod:`repro.cluster.control`:
   mid-recovery just walks to the next successor), across scenario-bound
   sessions and previous-schema checkpoints, and through a scripted
   mid-batch kill (``FaultPlan``) that never acknowledges the killing
-  step.
+  step;
+* ops, batched waves and recovery take one per-session exclusion, so a
+  replay never interleaves with an op and every acknowledged step is
+  journaled in the order it ran -- a resumed session recovers where the
+  client left it, or fails typed.
 """
 
+import itertools
 import json
+import sys
 import threading
 import time
 
@@ -25,10 +32,10 @@ import pytest
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.chaos import FaultPlan
-from repro.cluster.control import ClusterSupervisor, RetryPolicy, StepJournal
+from repro.cluster.control import RetryPolicy, StepJournal
 from repro.cluster.worker import spawn_local_worker
 from repro.engine.session import SessionState
-from repro.errors import ServiceError, WorkerDownError
+from repro.errors import ServiceError, ValidationError, WorkerDownError
 from repro.scenario import (
     CalibrationSpec,
     ChainSpec,
@@ -59,16 +66,14 @@ FAST_RETRY = RetryPolicy(
 
 
 def make_supervisor(store, addresses=None, **kwargs):
-    """A heartbeat-free supervisor over ``addresses`` -- or, by default,
-    over two local workers it spawns and owns (``repro serve --shards 2``)."""
+    """A heartbeat-free cluster backend recovering from ``store``, over
+    ``addresses`` -- or, by default, over two local workers it spawns
+    and owns (``repro serve --shards 2``)."""
     kwargs.setdefault("retry", FAST_RETRY)
+    kwargs.update(store=store, heartbeat_interval_s=0)
     if addresses is None:
-        backend = ClusterBackend.spawn_local(
-            make_manager, 2, heartbeat_interval_s=0
-        )
-    else:
-        backend = ClusterBackend(addresses, heartbeat_interval_s=0)
-    return ClusterSupervisor(backend, store, **kwargs)
+        return ClusterBackend.spawn_local(make_manager, 2, **kwargs)
+    return ClusterBackend(addresses, **kwargs)
 
 
 class TestRetryPolicy:
@@ -136,10 +141,10 @@ class TestRecoveryDrill:
                 for name, record in records.items():
                     got[name].append(strip(record))
 
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             on_victim = [
                 n for n in trajectories
-                if sup.backend.assignment_of(n) == victim
+                if sup.assignment_of(n) == victim
             ]
             assert on_victim  # the drill must actually cover losses
             kill_worker(sup, victim)
@@ -183,10 +188,10 @@ class TestRecoveryDrill:
             for i in range(12):
                 sup.open(f"u{i}", seed=i)
                 sup.step(f"u{i}", 3)
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             doomed = sorted(
                 f"u{i}" for i in range(12)
-                if sup.backend.assignment_of(f"u{i}") == victim
+                if sup.assignment_of(f"u{i}") == victim
             )
             survivors = [
                 f"u{i}" for i in range(12) if f"u{i}" not in doomed
@@ -218,10 +223,10 @@ class TestRecoveryDrill:
             for i in range(24):
                 sup.open(f"u{i}", seed=i)
                 sup.step(f"u{i}", 3)
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             doomed = sorted(
                 f"u{i}" for i in range(24)
-                if sup.backend.assignment_of(f"u{i}") == victim
+                if sup.assignment_of(f"u{i}") == victim
             )
             survivors = [f"u{i}" for i in range(24) if f"u{i}" not in doomed]
             assert len(doomed) >= 2 and len(survivors) >= 2
@@ -247,6 +252,38 @@ class TestRecoveryDrill:
             records, errors = out[0]
             assert not errors and records[survivors[1]].t == 2
 
+    def test_recovery_waits_for_a_held_session(self, tmp_path):
+        """Recovery takes each session's exclusion before restoring and
+        replaying it, so it never interleaves with an op on that
+        session: while an op holds it, the session stays on the corpse
+        and the rest of the dead worker's sessions move on."""
+        store = DirectorySessionStore(str(tmp_path / "ckpt"))
+        with make_supervisor(store, checkpoint_every=1) as sup:
+            for i in range(12):
+                sup.open(f"u{i}", seed=i)
+                sup.step(f"u{i}", 3)
+            victim = sup.shard_stats()[0]["worker"]
+            *others, held = sorted(
+                f"u{i}" for i in range(12)
+                if sup.assignment_of(f"u{i}") == victim
+            )
+            assert others  # recovery must get past some sessions first
+            kill_worker(sup, victim)
+            recovery = threading.Thread(target=sup._run_recoveries)
+            with sup._session_op(held):
+                recovery.start()
+                deadline = time.monotonic() + 10.0
+                while any(sup.assignment_of(s) == victim for s in others):
+                    assert time.monotonic() < deadline, "recovery stalled"
+                    time.sleep(0.01)
+                time.sleep(0.2)
+                assert sup.assignment_of(held) == victim
+            recovery.join(30)
+            assert not recovery.is_alive()
+            assert sup.assignment_of(held) not in (None, victim)
+            assert sup.step(held, 2).t == 2
+            assert sup.lost_session_ids() == []
+
     def test_explicit_checkpoints_bound_the_damage(self, tmp_path):
         """checkpoint_every=0 still recovers sessions with an explicit
         `checkpoint` snapshot: replay resumes from the snapshot."""
@@ -264,7 +301,7 @@ class TestRecoveryDrill:
                     )
             for name in trajectories:
                 sup.checkpoint(name)
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             kill_worker(sup, victim)
             for t in range(3, HORIZON):
                 for name in trajectories:
@@ -273,6 +310,124 @@ class TestRecoveryDrill:
                     )
             assert got == reference
             assert sup.lost_session_ids() == []
+
+
+class TestRacingSteps:
+    def test_racing_steps_are_journaled_in_the_order_they_ran(self):
+        """Threads racing steps into the same sessions are serialized
+        per session, and each step is journaled under that exclusion, so
+        every journal lists its cells in the order the worker ran them,
+        and recovery after a kill replays exactly the acknowledged
+        stream.  More threads than cores and a tiny switch interval."""
+        names = [f"u{i}" for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_supervisor(MemorySessionStore(), checkpoint_every=0) as sup:
+                for i, name in enumerate(names):
+                    sup.open(name, seed=1000 + i)
+                    sup.checkpoint(name)  # recovery replays from t=0
+                acked = {name: [] for name in names}
+                errors = []
+
+                def race(cell):
+                    try:
+                        for name in names:
+                            acked[name].append((sup.step(name, cell).t, cell))
+                    except Exception as error:  # pragma: no cover
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=race, args=(cell,))
+                    for cell in (1, 6, 11, 14)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                ran = {n: [cell for _, cell in sorted(acked[n])] for n in names}
+                for name in names:
+                    assert sup._journal[name].cells == ran[name]
+                kill_worker(sup, sup.shard_stats()[0]["worker"])
+                manager = make_manager()
+                for i, name in enumerate(names):
+                    manager.open(name, rng=1000 + i)
+                    for cell in ran[name]:
+                        manager.step(name, cell)
+                    assert strip(sup.step(name, 9)) == strip(manager.step(name, 9))
+                assert sup.lost_session_ids() == []
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestResumedSessions:
+    """A suspend-then-resume round trip (the server's eviction) moves a
+    session without changing its position, so a later worker death must
+    recover it exactly where the client left it -- or fail typed."""
+
+    def test_auto_checkpoints_recover_a_resumed_session_in_place(self, tmp_path):
+        store = DirectorySessionStore(str(tmp_path / "ckpt"))
+        trajectories = make_trajectories(8, seed=97)
+        reference = reference_records(trajectories)
+        with make_supervisor(store, checkpoint_every=2) as sup:
+            for i, name in enumerate(trajectories):
+                sup.open(name, seed=1000 + i)
+            got = {n: [] for n in trajectories}
+            # t=3: one acknowledged step past the t=2 auto-checkpoint
+            for t in range(3):
+                for name in trajectories:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            for name in trajectories:
+                assert sup.resume(sup.suspend(name)) == name
+            victim = sup.shard_stats()[0]["worker"]
+            assert any(sup.assignment_of(n) == victim for n in trajectories)
+            kill_worker(sup, victim)
+            for t in range(3, HORIZON):
+                for name in trajectories:
+                    got[name].append(
+                        strip(sup.step(name, trajectories[name][t]))
+                    )
+            assert got == reference
+            assert sup.lost_session_ids() == []
+
+    def test_a_checkpoint_behind_a_resume_is_a_typed_loss(self):
+        """Without auto-checkpoints the store may hold an explicit
+        checkpoint from before the resume, which the journal (restarted
+        at the resumed position) cannot bridge: a typed loss, never a
+        silently rewound stream."""
+        with make_supervisor(MemorySessionStore(), checkpoint_every=0) as sup:
+            sup.open("s", seed=7)
+            sup.step("s", 3)
+            assert sup.checkpoint("s").committed_t == 1
+            sup.step("s", 2)
+            sup.step("s", 5)
+            assert sup.resume(sup.suspend("s")) == "s"
+            kill_worker(sup, sup.assignment_of("s"))
+            with pytest.raises(WorkerDownError, match="does not meet its journal"):
+                sup.step("s", 4)
+            assert sup.lost_session_ids() == ["s"]
+            assert sup.recovery_stats()["sessions_lost"] == 1
+
+
+class TestRecoveryOptions:
+    def test_negative_checkpoint_every_is_rejected(self):
+        with pytest.raises(ValidationError, match="checkpoint_every must be >= 0"):
+            ClusterBackend(
+                ["tcp://127.0.0.1:1"],
+                store=MemorySessionStore(),
+                checkpoint_every=-1,
+            )
+
+    @pytest.mark.parametrize(
+        "options", [{"checkpoint_every": 2}, {"standbys": ["tcp://127.0.0.1:2"]}]
+    )
+    def test_recovery_options_need_a_store(self, options):
+        with pytest.raises(ValidationError, match="need a store"):
+            ClusterBackend(["tcp://127.0.0.1:1"], **options)
 
 
 class TestMembership:
@@ -285,7 +440,7 @@ class TestMembership:
                 for i, name in enumerate(trajectories):
                     sup.open(name, seed=1000 + i)
                 before = {
-                    n: sup.backend.assignment_of(n) for n in trajectories
+                    n: sup.assignment_of(n) for n in trajectories
                 }
                 got = {
                     n: [strip(sup.step(n, trajectories[n][0]))]
@@ -295,7 +450,7 @@ class TestMembership:
                 assert summary["joined"] is True
                 assert len(summary["workers"]) == 3
                 after = {
-                    n: sup.backend.assignment_of(n) for n in trajectories
+                    n: sup.assignment_of(n) for n in trajectories
                 }
                 moved = [n for n in trajectories if after[n] != before[n]]
                 # the ring invariant: a session either stayed put or
@@ -336,9 +491,9 @@ class TestMembership:
             summary = sup.leave_worker(addresses[0])
             assert summary["workers"] == [addresses[1]]
             assert summary["lost"] == []
-            assert sup.backend.worker_addresses() == [addresses[1]]
+            assert sup.worker_addresses() == [addresses[1]]
             for name in trajectories:
-                assert sup.backend.assignment_of(name) == addresses[1]
+                assert sup.assignment_of(name) == addresses[1]
                 for cell in trajectories[name][1:]:
                     got[name].append(strip(sup.step(name, cell)))
             assert got == reference
@@ -353,10 +508,10 @@ class TestMembership:
             for i in range(12):
                 sup.open(f"u{i}", seed=i)
                 sup.step(f"u{i}", 3)
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             on_victim = [
                 f"u{i}" for i in range(12)
-                if sup.backend.assignment_of(f"u{i}") == victim
+                if sup.assignment_of(f"u{i}") == victim
             ]
             kill_worker(sup, victim)
             # the supervisor heals before membership forgets the
@@ -421,7 +576,7 @@ class TestHeterogeneousRecovery:
                     got[name].append(
                         strip(sup.step(name, trajectories[name][t]))
                     )
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             kill_worker(sup, victim)
             for t in range(3, HORIZON):
                 for name in names:
@@ -455,7 +610,7 @@ class TestHeterogeneousRecovery:
                 store.put(
                     SessionState.from_json(json.loads(json.dumps(data)))
                 )
-            victim = sup.backend.shard_stats()[0]["worker"]
+            victim = sup.shard_stats()[0]["worker"]
             kill_worker(sup, victim)
             for t in range(3, HORIZON):
                 for name in trajectories:
@@ -487,7 +642,7 @@ class TestScriptedKill:
                     sup.open(name, seed=1000 + i)
                 on_armed = [
                     n for n in trajectories
-                    if sup.backend.assignment_of(n) == armed
+                    if sup.assignment_of(n) == armed
                 ]
                 assert on_armed  # the scripted kill must have victims
                 got = {n: [] for n in trajectories}
@@ -582,7 +737,7 @@ class TestStandbys:
                         got[name].append(
                             strip(sup.step(name, trajectories[name][t]))
                         )
-                victim = sup.backend.shard_stats()[0]["worker"]
+                victim = sup.shard_stats()[0]["worker"]
                 survivor = next(
                     a for a in sup.worker_addresses() if a != victim
                 )
@@ -595,7 +750,7 @@ class TestStandbys:
                 assert got == reference
                 assert sup.lost_session_ids() == []
                 # the fleet healed to full strength without an operator
-                assert sorted(sup.backend.worker_addresses()) == sorted(
+                assert sorted(sup.worker_addresses()) == sorted(
                     [survivor, standby]
                 )
                 assert sup.standby_status() == []  # pool spent
@@ -618,7 +773,7 @@ class TestStandbys:
             victim = sup.worker_addresses()[0]
             kill_worker(sup, victim)
             sup._run_recoveries(wait=True)
-            assert victim in sup.backend.worker_addresses()
+            assert victim in sup.worker_addresses()
             assert sup.recovery_stats()["standby_promotions"] == 0
             assert metrics.snapshot()["standby_promotions"] == 0
 
@@ -663,7 +818,7 @@ class TestStandbys:
                     thread.start()
                 started.wait(timeout=10)
                 time.sleep(0.05)  # the fleet is mid-flight
-                victim = sup.backend.shard_stats()[0]["worker"]
+                victim = sup.shard_stats()[0]["worker"]
                 survivor = next(
                     a for a in sup.worker_addresses() if a != victim
                 )
@@ -677,7 +832,7 @@ class TestStandbys:
                 stats = sup.recovery_stats()
                 assert stats["sessions_lost"] == 0
                 assert stats["standby_promotions"] == 1
-                assert sorted(sup.backend.worker_addresses()) == sorted(
+                assert sorted(sup.worker_addresses()) == sorted(
                     [survivor, standby]
                 )
                 # the promoted standby is really serving: it owns ring
@@ -693,82 +848,77 @@ class TestStandbys:
             stop_fleet([standby_proc])
 
 
-class _CascadeBackend:
-    """A scripted backend: one dead worker, and the first restore
-    attempt dies too (the cascade recovery must walk past)."""
-
-    def __init__(self, failures_before_accept: int = 1):
-        self.assignments = {"s1": "tcp://w1:1"}
-        self.failures_left = failures_before_accept
-        self.resumed: list[str] = []
-        self.stepped: list[tuple[str, int]] = []
-        self.forgotten: list[str] = []
-
-    def down_assignments(self):
-        return {
-            "tcp://w1:1": [s for s, a in self.assignments.items() if a]
-        } if self.assignments.get("s1") else {}
-
-    def assignment_of(self, sid):
-        return self.assignments.get(sid)
-
-    def forget_session(self, sid):
-        self.forgotten.append(sid)
-        self.assignments[sid] = None
-
-    def resume(self, state):
-        if self.failures_left > 0:
-            self.failures_left -= 1
-            raise WorkerDownError("restore target died mid-resume")
-        self.resumed.append(state.session_id)
-        return state.session_id
-
-    def step(self, sid, cell):
-        self.stepped.append((sid, cell))
-
-    def lost_session_ids(self):
-        return []
+def cascading_session(ring, armed: str) -> str:
+    """A session id whose ring order puts ``armed`` second: it lives on
+    another worker, and ``armed`` is its first restore target."""
+    return next(
+        f"s{i}"
+        for i in itertools.count()
+        if ring.successors(f"s{i}")[1] == armed
+    )
 
 
 class TestCascade:
-    def test_restore_retries_past_a_dying_target(self):
+    def test_restore_retries_past_a_dying_target(self, tmp_path):
+        """The session's home dies, and so does the first worker its
+        checkpoint is restored onto, on the first replayed step: the
+        restore walks on to the next successor and replays there."""
+        first_proc, first = spawn_local_worker(make_manager)
+        armed_proc, armed = spawn_local_worker(
+            make_manager, fault_plan=FaultPlan(kill_at_step=1)
+        )
+        last_proc, last = spawn_local_worker(make_manager)
+        store = DirectorySessionStore(str(tmp_path / "ckpt"))
         manager = make_manager()
-        manager.open("s1", rng=7)
-        manager.step("s1", 3)
-        state = manager.suspend("s1")
-        store = MemorySessionStore()
-        store.put(state)
-        backend = _CascadeBackend(failures_before_accept=1)
-        sup = ClusterSupervisor(backend, store, retry=FAST_RETRY)
-        # the journal says two steps were acked past the checkpoint
-        sup._journal["s1"] = StepJournal(state.committed_t)
-        sup._journal["s1"].cells.extend([2, 5])
-        sup._run_recoveries(wait=True)
-        assert backend.resumed == ["s1"]
-        assert backend.stepped == [("s1", 2), ("s1", 5)]
-        # forgotten twice: once on drain, once after the failed resume
-        assert backend.forgotten.count("s1") == 2
-        stats = sup.recovery_stats()
-        assert stats["sessions_recovered"] == 1
-        assert stats["steps_replayed"] == 2
+        manager.open("ref", rng=7)
+        try:
+            with make_supervisor(store, addresses=[first, armed, last]) as sup:
+                sid = cascading_session(sup._placement_ring(), armed)
+                assert sup.open(sid, seed=7) == HORIZON
+                home = sup.assignment_of(sid)
+                (survivor,) = {first, last} - {home}
+                sup.step(sid, 3)
+                assert sup.checkpoint(sid).committed_t == 1
+                # the journal holds two steps acked past the checkpoint
+                sup.step(sid, 2)
+                sup.step(sid, 5)
+                kill_worker(sup, home)
+                record = sup.step(sid, 4)  # heals through the cascade
+                assert armed_proc.exitcode == 137  # died replaying
+                assert sup.assignment_of(sid) == survivor
+                for cell in (3, 2, 5):
+                    manager.step("ref", cell)
+                assert strip(record) == strip(manager.step("ref", 4))
+                stats = sup.recovery_stats()
+                assert stats["sessions_recovered"] == 1
+                assert stats["steps_replayed"] == 2
+                assert stats["sessions_lost"] == 0
+                assert sup.lost_session_ids() == []
+                # the restored checkpoint replayed exactly cells [2, 5]
+                assert sup.finish(sid).true_cells == [3, 2, 5, 4]
+        finally:
+            stop_fleet([first_proc, armed_proc, last_proc])
 
     def test_total_fleet_death_keeps_the_checkpoint(self):
-        manager = make_manager()
-        manager.open("s1", rng=7)
-        state = manager.suspend("s1")
         store = MemorySessionStore()
-        store.put(state)
-        backend = _CascadeBackend(failures_before_accept=10_000)
-        sup = ClusterSupervisor(
-            backend,
+        with make_supervisor(
             store,
             retry=RetryPolicy(
                 attempts=2, base_delay_s=0.001, deadline_s=1.0, seed=3
             ),
-        )
-        sup._run_recoveries(wait=True)
-        assert sup.lost_session_ids() == ["s1"]
-        assert sup.recovery_stats()["sessions_lost"] == 1
-        # the checkpoint survives for restore-on-touch once capacity
-        # returns
-        assert store.get("s1") is not None
+        ) as sup:
+            sup.open("s1", seed=7)
+            sup.step("s1", 3)
+            checkpoint = sup.checkpoint("s1")
+            for address in sup.worker_addresses():
+                kill_worker(sup, address)
+            sup._run_recoveries(wait=True)
+            assert sup.lost_session_ids() == ["s1"]
+            stats = sup.recovery_stats()
+            assert stats["sessions_lost"] == 1
+            assert stats["sessions_recovered"] == 0
+            with pytest.raises(WorkerDownError, match="no live worker"):
+                sup.step("s1", 2)
+            # the checkpoint survives for restore-on-touch once capacity
+            # returns
+            assert store.get("s1").to_json() == checkpoint.to_json()

@@ -20,7 +20,7 @@ import re
 import urllib.error
 import urllib.request
 
-from repro.cluster import ClusterBackend, ClusterSupervisor
+from repro.cluster import ClusterBackend
 from repro.engine import SessionManager
 from repro.service import (
     AsyncServiceClient,
@@ -50,9 +50,10 @@ REQUIRED_FAMILIES = (
 
 
 def sharded_server(**config) -> ReleaseServer:
-    """A ``repro serve --shards 2`` server: two local workers, supervised."""
+    """A ``repro serve --shards 2`` server: two local workers, recovering
+    from the server's store."""
     store = MemorySessionStore()
-    engine = ClusterSupervisor(ClusterBackend.spawn_local(make_manager, 2), store)
+    engine = ClusterBackend.spawn_local(make_manager, 2, store=store)
     return ReleaseServer(engine, store=store, config=ServerConfig(**config))
 
 

@@ -15,7 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterBackend, ClusterSupervisor
+from repro.cluster import ClusterBackend
 from repro.engine import SessionManager
 from repro.errors import ScenarioError
 from repro.markov.simulate import sample_trajectory
@@ -111,8 +111,9 @@ def make_engine(shards: int, store):
     """What ``repro serve --shards N`` builds (in-process at 0)."""
     if shards == 0:
         return SessionManager(DEFAULT_SPEC)
-    backend = ClusterBackend.spawn_local(lambda: SessionManager(DEFAULT_SPEC), shards)
-    return ClusterSupervisor(backend, store)
+    return ClusterBackend.spawn_local(
+        lambda: SessionManager(DEFAULT_SPEC), shards, store=store
+    )
 
 
 async def serve_dedicated(spec: ScenarioSpec, trajectories) -> dict[str, list[dict]]:

@@ -24,7 +24,12 @@ import pytest
 from repro import _listener
 from repro.cli import main as cli_main
 from repro.engine import SessionManager
-from repro.errors import ServiceBusyError, SessionError, ValidationError
+from repro.errors import (
+    ServiceBusyError,
+    ServiceError,
+    SessionError,
+    ValidationError,
+)
 from repro.service import (
     AsyncServiceClient,
     DirectorySessionStore,
@@ -182,6 +187,31 @@ class TestAdmissionAndErrors:
                 await client.step("a", 0)
             with pytest.raises(SessionError, match="horizon"):
                 await client.step("a", 0)
+            await client.close()
+            await server.drain()
+
+        asyncio.run(run())
+
+    def test_cluster_ops_need_cluster_workers(self):
+        """The four cluster-only ops answer an in-process server with a
+        typed ``service`` error, and the server keeps serving."""
+
+        async def run():
+            server = await start_server()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("a", seed=1)
+            worker = "tcp://127.0.0.1:1"
+            for op, call in (
+                ("migrate", lambda: client.migrate(worker)),
+                ("join", lambda: client.join(worker)),
+                ("leave", lambda: client.leave(worker)),
+                ("cluster_status", client.cluster_status),
+            ):
+                with pytest.raises(ServiceError, match=f"'{op}' requires") as caught:
+                    await call()
+                assert caught.type is ServiceError  # not busy, not shard_down
+            record = await client.step("a", 0)
+            assert record["t"] == 1
             await client.close()
             await server.drain()
 

@@ -1,8 +1,8 @@
 """The topology suite, served half: ``repro serve`` over every topology.
 
-``repro serve --shards N`` runs N local ``repro worker`` processes under
-a :class:`~repro.cluster.ClusterSupervisor` -- the same stack
-``--backend`` builds over remote workers.  Everything a client can
+``repro serve --shards N`` runs N local ``repro worker`` processes behind
+one recovering :class:`~repro.cluster.ClusterBackend` -- the same
+backend ``--backend`` builds over remote workers.  Everything a client can
 observe must stay invariant across the in-process, ``local`` and
 ``tcp`` topologies (see :mod:`topology`):
 
@@ -25,7 +25,6 @@ import os
 
 import pytest
 
-from repro.cluster.control import ClusterSupervisor
 from repro.errors import ServiceError, ShardDownError
 from repro.service import (
     AsyncServiceClient,
@@ -53,12 +52,13 @@ from topology import (
 @contextlib.contextmanager
 def serving_engine(shards: int, store, topology: str = "local"):
     """The engine ``repro serve`` builds: in-process at 0 workers, else a
-    supervisor over ``shards`` workers sharing the server's store."""
+    cluster backend over ``shards`` workers recovering from the server's
+    store."""
     if shards == 0:
         yield make_manager()
         return
-    with open_backend(topology, shards) as backend:
-        yield ClusterSupervisor(backend, store)
+    with open_backend(topology, shards, store=store) as backend:
+        yield backend
 
 
 async def serve_trajectories(
@@ -235,7 +235,7 @@ class TestShardedGuards:
                 client = await AsyncServiceClient.connect(
                     "127.0.0.1", server.port
                 )
-                (on_zero,), (on_one,) = sessions_by_worker(engine.backend)
+                (on_zero,), (on_one,) = sessions_by_worker(engine)
                 await client.open(on_zero, seed=1)
                 await client.open(on_one, seed=2)
 
@@ -265,7 +265,7 @@ class TestShardDownOverWire:
                 client = await AsyncServiceClient.connect(
                     "127.0.0.1", server.port
                 )
-                (on_zero,), (on_one,) = sessions_by_worker(engine.backend)
+                (on_zero,), (on_one,) = sessions_by_worker(engine)
                 await client.open(on_zero, seed=1)
                 await client.open(on_one, seed=2)
 

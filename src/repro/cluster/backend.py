@@ -503,9 +503,6 @@ class ClusterBackend(ExecutionBackend):
         self._steps_replayed = 0
         self._sessions_lost = 0
         self._standby_promotions = 0
-        # Last good membership snapshot, served while recovery holds the
-        # exclusive lock (see cluster_status).
-        self._status_cache: dict | None = None
         self._closed = False
         # Stops the heartbeat and standby-probe threads.
         self._closing = threading.Event()
@@ -1399,53 +1396,44 @@ class ClusterBackend(ExecutionBackend):
     def cluster_status(self) -> dict:
         """A no-RPC membership snapshot (probe-safe, like health rows).
 
-        While a recovery pass holds the exclusive lock -- membership is
-        actively being reshaped -- the last snapshot is served with
-        ``"cached": true``, so operators can watch a recovery rather
-        than being locked out of it.  Recovery counters and standby rows
-        are always live.
+        It takes only the bookkeeping lock, so it answers at once even
+        while a recovery pass reshapes membership, and always from live
+        state: a worker that died is listed ``alive: false`` at once.
         """
-        in_recovery = self._recovery_lock.locked()
         with self._lock:
-            if in_recovery and self._status_cache is not None:
-                status = dict(self._status_cache, cached=True)
-            else:
-                counts = Counter(self._sessions.values())
-                ring = self._ring
-                status = {
-                    "workers": [
-                        {
-                            "worker": address,
-                            "alive": self._handles[address].alive,
-                            "draining": address in self._draining,
-                            "pid": self._handles[address].pid,
-                            "sessions": counts.get(address, 0),
-                            "heartbeat_age_s": round(
-                                time.monotonic()
-                                - self._handles[address].last_heartbeat,
-                                3,
-                            ),
-                            "capacity": self._handles[address].capacity,
-                            "ring_points": (
-                                ring.points_of(address) if ring is not None else 0
-                            ),
-                            "load": {
-                                k: v
-                                for k, v in self._handles[address].load.items()
-                                if k != "pong"
-                            },
-                        }
-                        for address in self._addresses
-                    ],
-                    "sessions": len(self._sessions),
-                    "ring": {
-                        "members": list(ring.members) if ring is not None else [],
-                        "replicas": self._replicas,
-                    },
-                    "cached": False,
-                }
-                self._status_cache = status
-        status = dict(status)
+            counts = Counter(self._sessions.values())
+            ring = self._ring
+            status = {
+                "workers": [
+                    {
+                        "worker": address,
+                        "alive": self._handles[address].alive,
+                        "draining": address in self._draining,
+                        "pid": self._handles[address].pid,
+                        "sessions": counts.get(address, 0),
+                        "heartbeat_age_s": round(
+                            time.monotonic()
+                            - self._handles[address].last_heartbeat,
+                            3,
+                        ),
+                        "capacity": self._handles[address].capacity,
+                        "ring_points": (
+                            ring.points_of(address) if ring is not None else 0
+                        ),
+                        "load": {
+                            k: v
+                            for k, v in self._handles[address].load.items()
+                            if k != "pong"
+                        },
+                    }
+                    for address in self._addresses
+                ],
+                "sessions": len(self._sessions),
+                "ring": {
+                    "members": list(ring.members) if ring is not None else [],
+                    "replicas": self._replicas,
+                },
+            }
         status["recovery"] = self.recovery_stats()
         status["standbys"] = self.standby_status()
         return status

@@ -20,7 +20,7 @@ implementations exist:
   GIL) or on any machines (``--backend``).
 
 Every method is synchronous and thread-safe to call from worker
-threads; async plumbing, per-session ordering locks and residency/LRU
+threads; async plumbing, the per-session op queue and residency/LRU
 bookkeeping stay in the serving layer.  Both backends produce
 bit-identical release streams for the same session ids and seeds --
 the backend decides *where* a step executes, never *what* it computes.

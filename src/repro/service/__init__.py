@@ -10,12 +10,11 @@ bottom::
            server.py              -- asyncio TCP server: admission control,
                                      per-connection backpressure, graceful
                                      drain on SIGINT/SIGTERM
-           executor.py            -- worker-pool offload of the CPU-bound
-                                     calibrate-and-check step, with strict
-                                     per-session ordering; every step goes
-                                     through a self-clocked group-commit
-                                     queue onto the backend's batched step
-                                     pipeline
+           executor.py            -- the per-session op queue: every
+                                     session op runs on a worker pool in
+                                     the order its client sent it; queued
+                                     steps group-commit onto the backend's
+                                     batched step pipeline
            store.py               -- pluggable SessionStore (memory / JSON
                                      directory / SQLite): idle sessions are
                                      evicted via the engine's JSON
@@ -61,7 +60,7 @@ machine (sessions survive worker drains via live migration).
 
 from ..engine.backend import ExecutionBackend, InProcessBackend, as_backend
 from .client import AsyncServiceClient, RetryPolicy, ServiceClient
-from .executor import SessionExecutor, StepBatcher, default_workers
+from .executor import StepBatcher, default_workers
 from .metrics import LatencyHistogram, ServiceMetrics
 from .shedding import LoadShedder, ShedConfig
 from .protocol import (
@@ -101,7 +100,6 @@ __all__ = [
     "ServerConfig",
     "ServiceClient",
     "ServiceMetrics",
-    "SessionExecutor",
     "SessionStore",
     "ShedConfig",
     "StepBatcher",

@@ -1,37 +1,33 @@
-"""Worker-pool offload with strict per-session ordering.
+"""The per-session queue every served op goes through.
 
-The calibrate-and-check step is CPU-bound (linear algebra + the QP
-solver); run on the event loop it would serialize every client behind
-the slowest step and starve the loop.  :class:`SessionExecutor` pushes
-work onto a ``ThreadPoolExecutor`` -- numpy/scipy release the GIL in
-their kernels, so different sessions genuinely overlap -- while a
-per-session async lock guarantees that operations *on one session*
-never run concurrently or out of order (the session owns a stateful RNG
-and quantifier fronts; ordering is what makes server-mediated streams
-bit-identical to direct ones).
+A session owns a stateful RNG and quantifier fronts, so a served stream
+is bit-identical to driving the session directly only if the session's
+ops apply in the order its client sent them.  :class:`StepBatcher` is
+the server's one mechanism for that order: each session has a FIFO,
+every op (open, step, budget peek, checkpoint, finish and an eviction's
+suspend) enters it before its request handler first awaits, and a
+session has at most one op in flight.
 
-The same per-session lock also serializes lifecycle operations (open,
-finish, evict, restore) against in-flight steps of that session.
-
-Every served step goes through :class:`StepBatcher`, a self-clocked
-group-commit queue that flushes all pending steps as one batched
-backend call whenever a pool slot is free.  A flush runs under the
-trace of its first traced member, so a worker backend stamps one trace
-id on each RPC, as for a solo step.
+The work itself is CPU-bound (linear algebra and the QP solver) or a
+blocking worker RPC, so it runs on a pool of ``repro-step`` threads --
+numpy/scipy release the GIL in their kernels, so different sessions
+genuinely overlap -- never on the event loop.  The queue clocks itself:
+whenever a pool slot is free, the head op of every session not in
+flight starts, the steps among them as one batched backend call (group
+commit) and every other op as a job of its own.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable
 
 from ..obs.trace import NULL_TRACER, activate, deactivate
-
-T = TypeVar("T")
 
 
 def default_workers(shards: int = 0) -> int:
@@ -53,175 +49,54 @@ def default_workers(shards: int = 0) -> int:
     return min(32, max(2, cores // shards))
 
 
-class _KeyedLocks:
-    """Per-key asyncio locks that free themselves when unused."""
+@dataclass(eq=False)
+class _Op:
+    """One queued session op: a step (``cell``) or a pool job (``fn``)."""
 
-    def __init__(self):
-        self._locks: dict[str, list] = {}  # key -> [lock, holders+waiters]
-
-    @contextlib.asynccontextmanager
-    async def hold(self, key: str):
-        entry = self._locks.get(key)
-        if entry is None:
-            entry = self._locks[key] = [asyncio.Lock(), 0]
-        entry[1] += 1
-        try:
-            async with entry[0]:
-                yield
-        finally:
-            entry[1] -= 1
-            if entry[1] == 0:
-                self._locks.pop(key, None)
-
-    def is_idle(self, key: str) -> bool:
-        """True when no task holds or awaits the key's lock."""
-        return key not in self._locks
-
-    def __len__(self) -> int:
-        return len(self._locks)
-
-
-class SessionExecutor:
-    """Run session-touching callables off the event loop, in order.
-
-    Parameters
-    ----------
-    workers:
-        Thread-pool size; ``0`` runs callables inline on the event loop
-        (useful for debugging and for tests that want single-threaded
-        determinism of *scheduling*, not just results).
-    shards:
-        Shard-process count of the backend this executor fronts; only
-        shapes the *default* worker count (see :func:`default_workers`).
-    """
-
-    def __init__(self, workers: int | None = None, shards: int = 0):
-        self._workers = default_workers(shards) if workers is None else int(workers)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-step"
-            )
-            if self._workers > 0
-            else None
-        )
-        self._locks = _KeyedLocks()
-
-    @property
-    def workers(self) -> int:
-        """Configured worker count (0 = inline)."""
-        return self._workers
-
-    @property
-    def active_sessions(self) -> int:
-        """Sessions with a held or awaited lock right now (gauge)."""
-        return len(self._locks)
-
-    def queue_depth(self) -> int:
-        """Jobs waiting in the pool's queue (0 when inline).
-
-        Reads the executor's internal work queue -- guarded, so an
-        interpreter without it simply reports 0 instead of breaking
-        the scrape.
-        """
-        if self._pool is None:
-            return 0
-        queue = getattr(self._pool, "_work_queue", None)
-        if queue is None:
-            return 0
-        try:
-            return queue.qsize()
-        except (NotImplementedError, OSError):
-            return 0
-
-    def session_idle(self, session_id: str) -> bool:
-        """True when no request currently touches ``session_id``."""
-        return self._locks.is_idle(session_id)
-
-    async def run(self, session_id: str, fn: Callable[[], T]) -> T:
-        """Run ``fn`` under the session's lock, on the pool."""
-        async with self._locks.hold(session_id):
-            if self._pool is None:
-                return fn()
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, fn
-            )
-
-    async def run_inline(self, session_id: str, fn: Callable[[], T]) -> T:
-        """Run a cheap ``fn`` under the session's lock, on the loop.
-
-        For operations that only touch dicts and small objects (open,
-        peek, evict bookkeeping) the pool round-trip costs more than the
-        work.
-        """
-        async with self._locks.hold(session_id):
-            return fn()
-
-    @contextlib.asynccontextmanager
-    async def hold_many(self, session_ids):
-        """Hold several sessions' locks at once (batched stepping).
-
-        Locks are acquired in sorted order, so any two holders that
-        overlap acquire their common sessions in the same global order
-        -- no deadlock regardless of how batches interleave with
-        single-session operations (which never acquire a second lock).
-        """
-        async with contextlib.AsyncExitStack() as stack:
-            for session_id in sorted(session_ids):
-                await stack.enter_async_context(self._locks.hold(session_id))
-            yield
-
-    async def run_batch(self, session_ids, fn: Callable[[], T]) -> T:
-        """Run ``fn`` on the pool while holding every session's lock."""
-        async with self.hold_many(session_ids):
-            if self._pool is None:
-                return fn()
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, fn
-            )
-
-    def shutdown(self) -> None:
-        """Stop the pool (waits for running steps)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+    name: str  # the wire op, e.g. "step" or "peek_budget"
+    future: asyncio.Future
+    cell: int | None = None
+    fn: Callable[[], object] | None = None
+    restore: bool = True  # restore a store-parked session first
+    trace_id: str | None = None
+    deadline_ms: int | None = None
+    submitted: float = field(default_factory=time.perf_counter)
 
 
 class StepBatcher:
-    """The one step path: a self-clocked group-commit queue.
+    """The per-session op queue, with group commit for steps.
 
-    Every served ``step`` enqueues here.  While fewer than
-    ``executor.workers`` batches (at least one) are in flight, all
-    queued steps flush on the next loop turn as one pool job that runs
-    :meth:`~repro.engine.backend.ExecutionBackend.step_batch` under
-    every member's session lock (:meth:`SessionExecutor.run_batch`).
-    A lone step on an idle server runs at once; under load the steps
-    that arrive while the pool is busy form the next batch.  ``manager``
-    is a :class:`~repro.engine.SessionManager` or any execution backend.
+    ``manager`` is a :class:`~repro.engine.SessionManager` or any
+    execution backend.  ``workers`` sizes the ``repro-step`` pool
+    (``None``: :func:`default_workers` for the backend's shard count;
+    ``0`` runs every job inline on the event loop).  At most
+    ``max(1, workers)`` jobs run at once.  A flush walks the sessions in
+    queue order and starts the head op of each one not in flight while
+    slots last: all the head steps share one job and one
+    :meth:`~repro.engine.backend.ExecutionBackend.step_batch` call, and
+    every other op is a job of its own.  A lone step on an idle server
+    runs at once; under load the steps that arrive while the pool is
+    busy form the next batch.  Since ``step_many`` is bit-identical to
+    solo stepping, so is every served stream.
 
-    Ordering: a session is in at most one batch in flight (a pipelined
-    second step waits for a flush after its first step's batch), so a
-    session's steps apply in submission order and batches never wait on
-    each other's locks; :meth:`barrier` lets non-step operations wait
-    for a session's queued steps.  Since ``step_many`` is bit-identical
-    to solo stepping, so is every served stream.
-
-    Per member, the pool job measures the queue wait (submit to job
-    start), feeds it to the shedder (``observe``), sheds a blown
-    ``deadline_ms`` (``check_deadline``) before any session state is
-    touched, restores a store-parked session, and records the
-    ``queue_wait`` and ``solve`` spans of a traced request.  The
-    backend call runs under the trace of the first traced member, so a
-    worker backend stamps one trace id per RPC, as for a solo step.
-    A failure -- bad id or cell, shed deadline, engine error (see
-    :func:`~repro.engine.backend.step_batch_on_manager`) -- rejects
-    that member's request alone.  With a worker backend a flush fans
-    out as at most one RPC per worker
+    Every job admits each of its members the same way before it touches
+    any session state: it measures the member's queue wait (submit to
+    job start), records it as the ``queue_wait`` span of a traced
+    request, feeds it to the shedder (``observe``), sheds a blown
+    ``deadline_ms`` (``check_deadline``) and restores a store-parked
+    session (``restore``).  The backend call runs under the trace of the
+    first traced member, so a worker backend stamps one trace id per
+    RPC.  A failure -- bad id or cell, shed deadline, engine error (see
+    :func:`~repro.engine.backend.step_batch_on_manager`) -- rejects that
+    member's request alone.  With a worker backend a batch fans out as
+    at most one RPC per worker
     (:meth:`repro.cluster.ClusterBackend.step_batch`).
     """
 
     def __init__(
         self,
         manager,
-        executor: SessionExecutor,
+        workers: int | None = None,
         restore: Callable[[str], bool] | None = None,
         tracer=None,
         shedder=None,
@@ -229,27 +104,57 @@ class StepBatcher:
         from ..engine.backend import as_backend
 
         self._backend = as_backend(manager)
-        self._executor = executor
+        self._workers = (
+            default_workers(self._backend.n_shards) if workers is None else int(workers)
+        )
+        self._pool = (
+            ThreadPoolExecutor(
+                max_workers=self._workers, thread_name_prefix="repro-step"
+            )
+            if self._workers > 0
+            else None
+        )
         self._restore = restore
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._shedder = shedder
-        # sid -> that session's queued steps, oldest first; a step is
-        # (cell, future, trace_id, deadline_ms, submitted_perf_s).
-        self._pending: dict[str, list[tuple]] = {}
-        self._n_pending = 0
-        self._busy: set[str] = set()  # sessions in a flushed batch
-        # Newest unresolved step future per session: a session's steps
-        # resolve in order, so awaiting it waits out all of them.
-        self._newest: dict[str, asyncio.Future] = {}
+        # sid -> that session's ops not yet started, oldest first; in
+        # the order each session's oldest op arrived.
+        self._queues: dict[str, deque[_Op]] = {}
+        self._queued = 0
+        self._busy: set[str] = set()  # sessions with an op in flight
         self._flush_handle: asyncio.Handle | None = None
-        self._running = 0
-        self._flush_tasks: set[asyncio.Task] = set()
+        self._running = 0  # jobs in flight
+        self._running_batches = 0
+        self._jobs: set[asyncio.Task] = set()
         self._batches = 0
         self._steps = 0
         self._max_batch = 0
 
+    @property
+    def workers(self) -> int:
+        """Configured pool size (0 = inline)."""
+        return self._workers
+
+    @property
+    def active_sessions(self) -> int:
+        """Sessions with an op queued or in flight (gauge)."""
+        return len(self._busy.union(self._queues))
+
+    def idle(self, session_id: str) -> bool:
+        """True when ``session_id`` has nothing queued or in flight."""
+        return session_id not in self._busy and session_id not in self._queues
+
+    def queue_depth(self) -> int:
+        """Unanswered ops: queued, or in a running job.
+
+        The shedder's drained check reads this: a flush empties the
+        queue into jobs whose run delays the next arrivals, so that
+        moment must not read as drained.
+        """
+        return self._queued + len(self._busy)
+
     def stats(self) -> dict:
-        """Counters for the ``stats`` op."""
+        """Step counters for the ``stats`` op (other ops are not counted)."""
         return {
             "batches": self._batches,
             "steps": self._steps,
@@ -257,153 +162,199 @@ class StepBatcher:
             "mean_batch": round(self._steps / self._batches, 3)
             if self._batches
             else None,
-            "pending": self._n_pending,
-            "inflight": self._running,
+            "pending": sum(
+                op.fn is None for ops in self._queues.values() for op in ops
+            ),
+            "inflight": self._running_batches,
         }
 
-    def window_occupancy(self) -> int:
-        """Steps queued and not yet flushed (gauge)."""
-        return self._n_pending
-
-    def queue_depth(self) -> int:
-        """Unanswered steps (queued or in a running batch) plus pool jobs.
-
-        Under load the backlog waits here, not in the pool queue; and a
-        flush empties the queue into a batch whose run delays the next
-        arrivals, so the shedder must not read that moment as drained.
-        """
-        return self._n_pending + len(self._busy) + self._executor.queue_depth()
-
-    async def submit(
+    def submit(
         self,
         session_id: str,
         cell: int,
         trace_id: str | None = None,
         deadline_ms: int | None = None,
-    ):
-        """Queue one step; resolves to ``(restored, record)`` or raises."""
-        future = asyncio.get_running_loop().create_future()
-        self._pending.setdefault(session_id, []).append(
-            (int(cell), future, trace_id, deadline_ms, time.perf_counter())
+    ) -> asyncio.Future:
+        """Queue one step; the future resolves to ``(restored, record)``."""
+        return self._enqueue(
+            session_id, "step", cell=int(cell), trace_id=trace_id,
+            deadline_ms=deadline_ms,
         )
-        self._n_pending += 1
-        self._newest[session_id] = future
+
+    def run(
+        self,
+        session_id: str,
+        op: str,
+        fn: Callable[[], object],
+        trace_id: str | None = None,
+        deadline_ms: int | None = None,
+        restore: bool = True,
+    ) -> asyncio.Future:
+        """Queue any other op; ``fn`` runs on the pool once the session's
+        earlier ops are done, and the future resolves to ``(restored,
+        fn())``.  ``restore=False`` skips restore-on-touch (an open, a
+        suspend)."""
+        return self._enqueue(
+            session_id, op, fn=fn, restore=restore, trace_id=trace_id,
+            deadline_ms=deadline_ms,
+        )
+
+    def _enqueue(self, session_id: str, name: str, **fields) -> asyncio.Future:
+        op = _Op(name, asyncio.get_running_loop().create_future(), **fields)
+        self._queues.setdefault(session_id, deque()).append(op)
+        self._queued += 1
         self._schedule()
-        return await future
+        return op.future
 
-    async def barrier(self, session_id: str) -> None:
-        """Wait out every queued or in-flight step for ``session_id``.
-
-        Non-step operations call this before taking the session's lock,
-        so they cannot overtake an earlier step of the session.  The
-        step's outcome (or error) goes to its submitter, not here.
-        """
-        future = self._newest.get(session_id)
-        if future is not None:
-            await asyncio.wait((future,))
+    def shutdown(self) -> None:
+        """Stop the pool (waits for running jobs)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
     def _schedule(self) -> None:
-        """Arrange the next flush once a batch slot is free."""
+        """Arrange the next flush once a pool slot is free."""
         if (
             self._flush_handle is not None
-            or not self._pending
-            or self._running >= max(1, self._executor.workers)
+            or not self._queues
+            or self._running >= max(1, self._workers)
         ):
             return
         # A zero-delay timer rather than call_soon: it fires after every
         # callback queued during this loop turn, so request tasks created
         # meanwhile (say, from another connection's read) join the flush.
         self._flush_handle = asyncio.get_running_loop().call_later(
-            0.0, self._spawn_flush
+            0.0, self._flush
         )
 
-    def _spawn_flush(self) -> None:
-        """Flush now: the oldest queued step of each session not in flight."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch: dict[str, tuple] = {}
-        rest: dict[str, list[tuple]] = {}
-        for sid, steps in self._pending.items():
+    def _flush(self) -> None:
+        """Start the head op of each session not in flight, while slots last."""
+        self._flush_handle = None
+        free = max(1, self._workers) - self._running
+        batch: dict[str, _Op] = {}
+        jobs: list[dict[str, _Op]] = []
+        for sid, queue in self._queues.items():
             if sid in self._busy:
-                rest[sid] = steps
                 continue
-            batch[sid] = steps[0]
-            if len(steps) > 1:
-                rest[sid] = steps[1:]
-        self._pending = rest
-        if not batch:
-            return
-        self._n_pending -= len(batch)
-        self._busy.update(batch)
-        self._running += 1
-        task = asyncio.get_running_loop().create_task(self._flush(batch))
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
+            head = queue[0]
+            if head.fn is None and batch:
+                batch[sid] = head  # joins the batch that holds a slot
+            elif free > 0:
+                free -= 1
+                if head.fn is None:
+                    batch[sid] = head
+                    jobs.append(batch)
+                else:
+                    jobs.append({sid: head})
+        loop = asyncio.get_running_loop()
+        for job in jobs:
+            for sid in job:
+                queue = self._queues[sid]
+                queue.popleft()
+                if not queue:
+                    del self._queues[sid]
+            self._queued -= len(job)
+            self._busy.update(job)
+            self._running += 1
+            task = loop.create_task(self._run_job(job))
+            self._jobs.add(task)
+            task.add_done_callback(self._jobs.discard)
 
-    async def _flush(self, batch: dict[str, tuple]) -> None:
-        self._batches += 1
-        self._steps += len(batch)
-        self._max_batch = max(self._max_batch, len(batch))
+    async def _run_job(self, job: dict[str, _Op]) -> None:
+        steps = next(iter(job.values())).fn is None
+        if steps:
+            self._batches += 1
+            self._steps += len(job)
+            self._max_batch = max(self._max_batch, len(job))
+            self._running_batches += 1
         try:
-            records, errors, restored = await self._executor.run_batch(
-                batch.keys(), lambda: self._run(batch)
-            )
+            if self._pool is None:
+                outcomes = self._run(job)
+            else:
+                outcomes = await asyncio.get_running_loop().run_in_executor(
+                    self._pool, self._run, job
+                )
         except BaseException as error:  # noqa: BLE001 - route to every waiter
-            records, errors, restored = {}, dict.fromkeys(batch, error), {}
+            outcomes = dict.fromkeys(job, error)
             if not isinstance(error, Exception):
                 raise
         finally:
             self._running -= 1
-            self._busy.difference_update(batch)
+            if steps:
+                self._running_batches -= 1
+            self._busy.difference_update(job)
             self._schedule()
-            for sid, (_, future, *_) in batch.items():
-                if self._newest.get(sid) is future:
-                    del self._newest[sid]
-                if future.done():
+            for sid, op in job.items():
+                outcome = outcomes[sid]
+                if op.future.done():
                     continue
-                if sid in errors:
-                    future.set_exception(errors[sid])
+                if isinstance(outcome, BaseException):
+                    op.future.set_exception(outcome)
                 else:
-                    future.set_result((restored[sid], records[sid]))
+                    op.future.set_result(outcome)
 
-    def _run(self, batch: dict[str, tuple]):
-        """The pool job: admit each member, then one backend call."""
-        tracer, shedder = self._tracer, self._shedder
+    def _run(self, job: dict[str, _Op]) -> dict[str, object]:
+        """The pool job: admit each member, then one backend call.
+
+        Returns each member's ``(restored, value)``, or its exception.
+        """
         started = time.perf_counter()
-        todo: dict[str, int] = {}
+        first = next(iter(job.values()))
+        outcomes: dict[str, object] = {}
         restored: dict[str, bool] = {}
-        errors: dict[str, BaseException] = {}
-        batch_trace = None  # the first traced member's
-        for sid, (cell, _, trace_id, deadline_ms, submitted) in batch.items():
-            waited = started - submitted
-            if trace_id is not None:
-                tracer.record("queue_wait", trace_id, waited, session=sid)
+        trace_id = None  # the first traced member's
+        for sid, op in job.items():
             try:
-                if shedder is not None:
-                    shedder.observe(waited)
-                    shedder.check_deadline("step", deadline_ms, waited)
-                restored[sid] = bool(self._restore and self._restore(sid))
+                restored[sid] = self._admit(sid, op, started - op.submitted)
             except Exception as error:  # noqa: BLE001 - isolate per member
-                errors[sid] = error
+                outcomes[sid] = error
                 continue
-            todo[sid] = cell
-            batch_trace = batch_trace or trace_id
-        solve_started = time.perf_counter()
+            trace_id = trace_id or op.trace_id
+        if not restored:
+            return outcomes
         # Activate on this pool thread so a worker backend's RPC
         # clients stamp the wire frame with the trace id.
-        token = activate(tracer, batch_trace) if batch_trace is not None else None
+        token = activate(self._tracer, trace_id) if trace_id is not None else None
         try:
-            records, step_errors = self._backend.step_batch(todo)
+            if first.fn is not None:  # an op of its own, the only member
+                (sid,) = restored
+                try:
+                    outcomes[sid] = (restored[sid], first.fn())
+                except Exception as error:  # noqa: BLE001 - to its waiter
+                    outcomes[sid] = error
+                return outcomes
+            solve_started = time.perf_counter()
+            records, errors = self._backend.step_batch(
+                {sid: job[sid].cell for sid in restored}
+            )
         finally:
-            if batch_trace is not None:
+            if trace_id is not None:
                 deactivate(token)
         solve_s = time.perf_counter() - solve_started
-        for sid in todo:
-            trace_id = batch[sid][2]
-            if trace_id is not None:
-                tracer.record(
-                    "solve", trace_id, solve_s, session=sid, batch=len(todo)
+        for sid in restored:
+            if job[sid].trace_id is not None:
+                self._tracer.record(
+                    "solve", job[sid].trace_id, solve_s, session=sid,
+                    batch=len(restored),
                 )
-        errors.update(step_errors)
-        return records, errors, restored
+        outcomes.update(errors)
+        for sid, record in records.items():
+            outcomes[sid] = (restored[sid], record)
+        return outcomes
+
+    def _admit(self, sid: str, op: _Op, waited: float) -> bool:
+        """The one admission path: queue wait, shedding, restore-on-touch.
+
+        Runs on the pool thread before ``op`` touches any session state;
+        returns whether it restored a store-parked session.  A step's
+        ``queue_wait`` span carries only its session (the ledger counts
+        untagged spans as steps); every other op's carries its ``op``.
+        """
+        if op.trace_id is not None:
+            attrs = {"session": sid}
+            if op.fn is not None:
+                attrs["op"] = op.name
+            self._tracer.record("queue_wait", op.trace_id, waited, **attrs)
+        if self._shedder is not None:
+            self._shedder.observe(waited)
+            self._shedder.check_deadline(op.name, op.deadline_ms, waited)
+        return bool(op.restore and self._restore is not None and self._restore(sid))

@@ -16,23 +16,26 @@ Concurrency model
   stops reading, which surfaces to the client as TCP backpressure.
 * A global open-session cap (``max_sessions``): ``open`` beyond it gets
   a typed ``busy`` error instead of a hang.
-* CPU-bound work (step, restore, suspend) runs on the
-  :class:`~repro.service.executor.SessionExecutor` worker pool under a
-  per-session lock; all fleet bookkeeping (the LRU table, admission,
-  eviction choice) happens on the event-loop thread only.
-* Every ``step`` takes one path: the
-  :class:`~repro.service.executor.StepBatcher` group-commit queue,
-  which flushes all pending steps as one batched backend call whenever
-  a pool slot is free -- at once when the server is idle, in batches
-  that grow with the load otherwise.  The flush's pool job measures
-  each member's queue wait, feeds the load shedder, sheds blown
-  deadlines, restores suspended sessions and records the member's
-  spans; tracing off (``trace=False``, or brownout) only drops the
-  spans.  Non-step operations keep :meth:`SessionExecutor.run`.
-* Past ``max_resident`` resident sessions, least-recently-used idle
-  sessions are suspended through the engine's JSON checkpoint into the
-  :class:`~repro.service.store.SessionStore` and restored transparently
-  on their next request -- open-session count is decoupled from memory.
+* Every session op -- open, step, ``peek_budget``, checkpoint, finish
+  and an eviction's suspend -- enters its session's FIFO in the
+  :class:`~repro.service.executor.StepBatcher` queue before its handler
+  first awaits, and a session has at most one op in flight: that one
+  queue is what keeps each session's ops in the order its client sent
+  them.  The work runs on the queue's ``repro-step`` thread pool; all
+  fleet bookkeeping (the LRU table, admission, eviction choice) happens
+  on the event-loop thread only.
+* Whenever a pool slot is free, the head ops start: the steps together
+  as one batched backend call -- at once when the server is idle, in
+  batches that grow with the load otherwise -- and every other op as a
+  job of its own.  Each job measures every member's queue wait, feeds
+  the load shedder, sheds blown deadlines, restores suspended sessions
+  and records the member's spans; tracing off (``trace=False``, or
+  brownout) only drops the spans.
+* Past ``max_resident`` resident sessions, least-recently-used sessions
+  with nothing queued or in flight are suspended through the engine's
+  JSON checkpoint into the :class:`~repro.service.store.SessionStore`
+  and restored transparently on their next request -- open-session
+  count is decoupled from memory.
 
 Graceful drain: on ``request_drain()`` (wired to SIGINT/SIGTERM by the
 CLI) the server stops accepting and reading, lets requests already read
@@ -68,7 +71,7 @@ from ..obs.probe import EventLoopLagProbe
 from ..obs.registry import LatencyHistogram
 from ..obs.trace import NULL_TRACER, Tracer, new_trace_id
 from ..scenario import ScenarioRegistry
-from .executor import SessionExecutor, StepBatcher
+from .executor import StepBatcher
 from .metrics import ServiceMetrics
 from .shedding import LoadShedder, ShedConfig
 from .protocol import (
@@ -229,9 +232,6 @@ class ReleaseServer:
             if self._config.trace
             else NULL_TRACER
         )
-        self._executor = SessionExecutor(
-            self._config.workers, shards=self._backend.n_shards
-        )
         self._shedder = LoadShedder(
             ShedConfig(
                 target_ms=self._config.shed_target_ms,
@@ -242,7 +242,7 @@ class ReleaseServer:
         )
         self._batcher = StepBatcher(
             self._backend,
-            self._executor,
+            self._config.workers,
             restore=self._restore_if_suspended,
             tracer=self._tracer,
             shedder=self._shedder,
@@ -254,6 +254,7 @@ class ReleaseServer:
         # eviction scans this, so its cost tracks max_resident, not the
         # total open-session count.
         self._resident_lru: dict[str, None] = {}
+        self._evicting = 0  # suspends queued or running
         self._listener = Listener(
             self._serve_connection, self._config.host, self._config.port,
             MAX_FRAME_BYTES,
@@ -321,18 +322,13 @@ class ReleaseServer:
         )
         registry.gauge(
             "repro_executor_queue_depth",
-            "Steps queued or in a running batch, plus jobs queued on the pool",
+            "Session ops queued or running on the step pool",
             fn=self._batcher.queue_depth,
         )
         registry.gauge(
             "repro_executor_active_sessions",
-            "Sessions holding an executor ordering lock",
-            fn=lambda: self._executor.active_sessions,
-        )
-        registry.gauge(
-            "repro_batch_window_occupancy",
-            "Step requests queued for the next batch",
-            fn=self._batcher.window_occupancy,
+            "Sessions with an op queued or running",
+            fn=lambda: self._batcher.active_sessions,
         )
         registry.gauge(
             "repro_event_loop_lag_seconds",
@@ -457,7 +453,7 @@ class ReleaseServer:
             self._metrics.record_failure("sessions_lost", len(lost))
         for state in states:
             self._store.put(state)
-        self._executor.shutdown()
+        self._batcher.shutdown()
         self._backend.close()
         if self._obs_http is not None:
             await self._obs_http.stop()
@@ -548,15 +544,15 @@ class ReleaseServer:
         # when sustained overload sheds this op's priority class.
         self._shedder.admit(request.op, request.deadline_ms)
         if request.op == "open":
-            return await self._op_open(request)
+            return await self._op_open(request, trace_id)
         if request.op == "step":
             return await self._op_step(request, trace_id)
         if request.op == "peek_budget":
-            return await self._op_peek(request)
+            return await self._op_peek(request, trace_id)
         if request.op == "finish":
-            return await self._op_finish(request)
+            return await self._op_finish(request, trace_id)
         if request.op == "checkpoint":
-            return await self._op_checkpoint(request)
+            return await self._op_checkpoint(request, trace_id)
         if request.op == "migrate":
             return await self._op_migrate(request)
         if request.op == "join":
@@ -567,25 +563,18 @@ class ReleaseServer:
             return await self._op_cluster_status(request)
         return await self._op_stats(request)
 
-    def _measured(self, op: str, deadline_ms: int | None, fn):
-        """Wrap a non-step pool closure to feed the shedder its queue wait.
+    async def _session_op(
+        self, sid: str, request: Request, trace_id, fn, restore: bool = True
+    ):
+        """Run ``fn`` as ``sid``'s next queued op; count a restore."""
+        restored, value = await self._batcher.run(
+            sid, request.op, fn, trace_id, request.deadline_ms, restore
+        )
+        if restored:
+            self._metrics.record_session_event("restored")
+        return value
 
-        The wait runs from submission to the moment the closure starts
-        on a worker thread; a deadline blown by that wait sheds here,
-        strictly before ``fn`` touches any session state.
-        """
-        shedder = self._shedder
-        submitted = time.perf_counter()
-
-        def wrapped():
-            waited = time.perf_counter() - submitted
-            shedder.observe(waited)
-            shedder.check_deadline(op, deadline_ms, waited)
-            return fn()
-
-        return wrapped
-
-    async def _op_open(self, request: Request) -> dict:
+    async def _op_open(self, request: Request, trace_id: str | None = None) -> dict:
         if self._draining.is_set():
             raise ServiceBusyError("server is draining; not accepting sessions")
         sid = request.session or uuid.uuid4().hex
@@ -603,22 +592,20 @@ class ReleaseServer:
             # errors); model compilation happens inside the backend's
             # manager, interned by digest, off the loop.
             spec = self._scenarios.admit(request.scenario)
-        if self._backend.remote or spec is not None:
-            # Off the event loop: a worker RPC can block behind the
-            # worker's in-flight batch, and compiling a first-seen
-            # scenario builds O(m^2) models.
-            horizon = await self._executor.run(
+        # Counted as open while it waits for the pool, so concurrent
+        # opens cannot pass the cap or the duplicate check together.
+        self._open[sid] = None
+        try:
+            horizon = await self._session_op(
                 sid,
-                self._measured(
-                    "open",
-                    request.deadline_ms,
-                    lambda: self._backend.open(sid, seed, spec),
-                ),
+                request,
+                trace_id,
+                lambda: self._backend.open(sid, seed, spec),
+                restore=False,
             )
-        else:
-            horizon = await self._executor.run_inline(
-                sid, lambda: self._backend.open(sid, seed, spec)
-            )
+        except Exception:
+            self._open.pop(sid, None)
+            raise
         digest = spec.digest() if spec is not None else "default"
         self._session_scenario[sid] = digest
         self._count_scenario(digest, "opened")
@@ -651,40 +638,26 @@ class ReleaseServer:
         await self._maybe_evict()
         return record.to_json()
 
-    async def _op_peek(self, request: Request) -> dict:
+    async def _op_peek(self, request: Request, trace_id: str | None = None) -> dict:
         sid = request.session
         assert sid is not None
-        await self._batcher.barrier(sid)
-
-        def _peek():
-            restored = self._restore_if_suspended(sid)
-            return restored, self._backend.peek_budget(sid)
-
-        restored, budget = await self._executor.run(
-            sid, self._measured("peek_budget", request.deadline_ms, _peek)
+        budget = await self._session_op(
+            sid, request, trace_id, lambda: self._backend.peek_budget(sid)
         )
-        if restored:
-            self._metrics.record_session_event("restored")
         self._touch(sid)
         await self._maybe_evict()
         return {"session": sid, "budget": budget}
 
-    async def _op_finish(self, request: Request) -> dict:
+    async def _op_finish(self, request: Request, trace_id: str | None = None) -> dict:
         sid = request.session
         assert sid is not None
-        await self._batcher.barrier(sid)
 
         def _finish():
-            restored = self._restore_if_suspended(sid)
             log = self._backend.finish(sid)
             self._store.delete(sid)
-            return restored, log
+            return log
 
-        restored, log = await self._executor.run(
-            sid, self._measured("finish", request.deadline_ms, _finish)
-        )
-        if restored:
-            self._metrics.record_session_event("restored")
+        log = await self._session_op(sid, request, trace_id, _finish)
         self._open.pop(sid, None)
         self._resident_lru.pop(sid, None)
         self._metrics.record_session_event("finished")
@@ -698,22 +671,18 @@ class ReleaseServer:
             "n_conservative": log.n_conservative,
         }
 
-    async def _op_checkpoint(self, request: Request) -> dict:
+    async def _op_checkpoint(
+        self, request: Request, trace_id: str | None = None
+    ) -> dict:
         sid = request.session
         assert sid is not None
-        await self._batcher.barrier(sid)
 
         def _checkpoint():
-            restored = self._restore_if_suspended(sid)
             state = self._backend.checkpoint(sid)
             self._store.put(state)
-            return restored, state
+            return state
 
-        restored, state = await self._executor.run(
-            sid, self._measured("checkpoint", request.deadline_ms, _checkpoint)
-        )
-        if restored:
-            self._metrics.record_session_event("restored")
+        state = await self._session_op(sid, request, trace_id, _checkpoint)
         self._touch(sid)
         return {
             "session": sid,
@@ -822,12 +791,12 @@ class ReleaseServer:
         snapshot["server"] = {
             "draining": self._draining.is_set(),
             "connections": self._listener.connections,
-            "workers": self._executor.workers,
+            "workers": self._batcher.workers,
             "shards": self._backend.n_shards,
             "max_sessions": self._config.max_sessions,
             "max_resident": self._config.max_resident,
             "queue_depth": self._batcher.queue_depth(),
-            "active_sessions": self._executor.active_sessions,
+            "active_sessions": self._batcher.active_sessions,
             "metrics_port": self.metrics_port,
         }
         snapshot["batching"] = self._batcher.stats()
@@ -961,21 +930,29 @@ class ReleaseServer:
     # residency management
     # ------------------------------------------------------------------
     def _restore_if_suspended(self, sid: str) -> bool:
-        """Bring a suspended session back under its executor lock.
+        """Bring a suspended session back, as its op in flight.
 
-        Runs on a worker thread; only touches the (thread-safe) store
-        and the backend entry for ``sid``, which the per-session lock
-        protects.  With a worker backend the state round-trips into the
-        worker the ring places it on -- checkpoints carry everything, so
-        one taken under any worker count restores correctly.
+        Runs on a pool thread; only touches the (thread-safe) store and
+        the backend entry for ``sid``, which the session's queue keeps
+        to one op at a time.  With a worker backend the state
+        round-trips into the worker the ring places it on --
+        checkpoints carry everything, so one taken under any worker
+        count restores correctly.  The store entry goes before the
+        resume, because a recovering cluster backend writes the resumed
+        state back under the same key as the session's durable
+        checkpoint; a failed resume puts the entry back.
         """
         if self._backend.contains(sid):
             return False
         state = self._store.get(sid)
         if state is None:
             raise SessionError(f"no open session {sid!r}")
-        self._backend.resume(state)
         self._store.delete(sid)
+        try:
+            self._backend.resume(state)
+        except BaseException:
+            self._store.put(state)
+            raise
         return True
 
     def _touch(self, sid: str) -> None:
@@ -985,31 +962,48 @@ class ReleaseServer:
         self._resident_lru[sid] = None
 
     async def _maybe_evict(self) -> None:
-        """Suspend LRU idle sessions past the residency cap."""
-        while self._backend.resident_count() > self._config.max_resident:
-            victim = None
-            for sid in self._resident_lru:
-                if self._backend.contains(sid) and self._executor.session_idle(sid):
-                    victim = sid
-                    break
+        """Suspend LRU sessions past the residency cap.
+
+        A victim has nothing queued or in flight.  Its suspend then
+        takes its turn in the session's queue like any op, so a request
+        that arrives meanwhile runs after it and restores the session.
+        """
+        while (
+            self._backend.resident_count() - self._evicting
+            > self._config.max_resident
+        ):
+            victim = next(
+                (
+                    sid
+                    for sid in self._resident_lru
+                    if self._batcher.idle(sid) and self._backend.contains(sid)
+                ),
+                None,
+            )
             if victim is None:
                 return  # everything resident is busy; try after next op
-
-            def _suspend(sid=victim):
-                if not self._backend.contains(sid):
-                    return False  # raced with finish/evict; nothing to do
-                try:
-                    self._store.put(self._backend.suspend(sid))
-                except ShardDownError:
-                    # The victim's worker died: it cannot be evicted (or
-                    # served), but that is the *victim's* loss -- never
-                    # an error for the unrelated request that happened
-                    # to trigger eviction.  Dropping it from the LRU
-                    # below keeps the scan from re-picking it.
-                    return False
-                return True
-
-            evicted = await self._executor.run(victim, _suspend)
+            self._evicting += 1
+            try:
+                _, evicted = await self._batcher.run(
+                    victim, "evict", lambda: self._suspend(victim), restore=False
+                )
+            finally:
+                self._evicting -= 1
+            # Dropped even when its worker died and it could not be
+            # suspended, so the scan never re-picks it.
             self._resident_lru.pop(victim, None)
             if evicted:
                 self._metrics.record_session_event("evicted")
+
+    def _suspend(self, sid: str) -> bool:
+        """Park a resident session in the store (a pool job)."""
+        if not self._backend.contains(sid):
+            return False  # gone before its turn; nothing to do
+        try:
+            self._store.put(self._backend.suspend(sid))
+        except ShardDownError:
+            # The victim's worker died: it cannot be evicted (or
+            # served), but that is the *victim's* loss -- never an
+            # error for the unrelated request that triggered eviction.
+            return False
+        return True

@@ -48,6 +48,7 @@ from topology import (
     make_trajectories,
     open_backend,
     reference_records,
+    sessions_by_worker,
     strip,
 )
 
@@ -436,13 +437,22 @@ class TestCrossPlacementRestore:
             cluster.finish(name)
 
     def test_restore_lands_on_the_ring_owner(self, cluster):
-        _, _, states, _ = self.checkpoint_and_reference(n_sessions=8)
-        for name, state in states.items():
-            cluster.resume(state)
-            assert cluster._assigned(name) in cluster.worker_addresses()
-        placements = {cluster._assigned(n) for n in states}
-        assert len(placements) == 2  # both workers participate
-        for name in states:
+        # The ring hashes the workers' ports, so fixed ids could all
+        # land on one worker: pick ids that each worker owns some of.
+        names = [name for owned in sessions_by_worker(cluster, 4) for name in owned]
+        ring = cluster._placement_ring()
+        manager = make_manager()
+        for i, (name, trajectory) in enumerate(
+            zip(names, make_trajectories(len(names), seed=41).values())
+        ):
+            manager.open(name, rng=1000 + i)
+            for cell in trajectory[:3]:
+                manager.step(name, cell)
+            cluster.resume(manager.suspend(name))
+            assert cluster._assigned(name) == ring.owner(name)
+        placements = {cluster._assigned(n) for n in names}
+        assert placements == set(cluster.worker_addresses())
+        for name in names:
             cluster.finish(name)
 
 

@@ -22,6 +22,7 @@ recovering from a durable store:
   client left it, or fails typed.
 """
 
+import asyncio
 import itertools
 import json
 import sys
@@ -44,6 +45,7 @@ from repro.scenario import (
     MechanismSpec,
     ScenarioSpec,
 )
+from repro.service import AsyncServiceClient, ReleaseServer, ServerConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import DirectorySessionStore, MemorySessionStore
 
@@ -51,11 +53,13 @@ from test_cluster_backend import stop_fleet
 from topology import (
     HORIZON,
     N_CELLS,
+    direct_records,
     kill_worker,
     make_manager,
     make_trajectories,
     reference_records,
     strip,
+    strip_elapsed,
 )
 
 #: A fast, deterministic policy for tests: real backoff shape, tiny
@@ -394,6 +398,43 @@ class TestResumedSessions:
             assert got == reference
             assert sup.lost_session_ids() == []
 
+    def test_a_served_restore_keeps_the_durable_checkpoint(self):
+        """The server's restore-on-touch resumes an evicted session
+        through the backend, which stores the resumed state as the
+        session's durable checkpoint; the server must not then delete
+        that entry as a spent eviction, or a worker death before the
+        next auto-checkpoint loses the session."""
+        trajectory = make_trajectories(1, seed=61)["u0"]
+        reference = direct_records({"u0": trajectory})["u0"]
+        store = MemorySessionStore()
+
+        async def run():
+            server = ReleaseServer(
+                make_supervisor(store, checkpoint_every=2),
+                store=store,
+                config=ServerConfig(workers=2, max_resident=1),
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            try:
+                await client.open("u0", seed=1000)
+                got = [await client.step("u0", cell) for cell in trajectory[:3]]
+                await client.open("other", seed=1)  # evicts u0 at t=3
+                assert not server._backend.contains("u0")
+                got.append(await client.step("u0", trajectory[3]))  # restores
+                victim = server._backend.assignment_of("u0")
+                await asyncio.get_running_loop().run_in_executor(
+                    None, kill_worker, server._backend, victim
+                )
+                got += [await client.step("u0", cell) for cell in trajectory[4:]]
+            finally:
+                await client.close()
+                await server.drain()
+            return got
+
+        got = asyncio.run(run())
+        assert [strip_elapsed(record) for record in got] == reference
+
     def test_a_checkpoint_behind_a_resume_is_a_typed_loss(self):
         """Without auto-checkpoints the store may hold an explicit
         checkpoint from before the resume, which the journal (restarted
@@ -663,42 +704,51 @@ class TestScriptedKill:
 
 
 class TestCachedStatus:
+    """``cluster_status`` takes only the bookkeeping lock and makes no
+    RPC, so it answers live at once even mid-recovery: no snapshot
+    cached before a worker death can list the dead worker alive."""
+
+    @staticmethod
+    def status_under_recovery_lock(sup, kill=None):
+        """``cluster_status`` while a recovery pass holds the exclusive
+        lock, after SIGKILLing the worker ``kill``; with its wall time."""
+        assert sup._recovery_lock.acquire(blocking=False)
+        try:
+            if kill is not None:
+                kill_worker(sup, kill)
+            started = time.monotonic()
+            status = sup.cluster_status()
+            return status, time.monotonic() - started
+        finally:
+            sup._recovery_lock.release()
+
     def test_status_serves_cached_view_mid_recovery(self):
-        """While a recovery pass holds the exclusive lock the status op
-        answers from the last-good snapshot (flagged ``cached``) instead
-        of blocking behind membership surgery -- the regression where a
-        mid-recovery ``cluster_status`` hung the operator's probe."""
+        """A call before the recovery, then a worker death: the call
+        under the lock lists the dead worker ``alive: false`` (the
+        regression: a snapshot cached by the first call listed it
+        alive)."""
         with make_supervisor(MemorySessionStore()) as sup:
             live = sup.cluster_status()
-            assert live["cached"] is False
-            assert len(live["workers"]) == 2
-            assert sup._recovery_lock.acquire(blocking=False)
-            try:
-                held = sup.cluster_status()
-            finally:
-                sup._recovery_lock.release()
-            assert held["cached"] is True
-            assert [w["worker"] for w in held["workers"]] == [
-                w["worker"] for w in live["workers"]
-            ]
-            # recovery counters and standby rows stay live even on
-            # the cached path (they are the supervisor's own state)
+            assert "cached" not in live
+            assert [w["alive"] for w in live["workers"]] == [True, True]
+            victim = live["workers"][0]["worker"]
+            held, elapsed = self.status_under_recovery_lock(sup, kill=victim)
+            assert elapsed < 1.0
+            alive = {w["worker"]: w["alive"] for w in held["workers"]}
+            assert alive == {victim: False, live["workers"][1]["worker"]: True}
+            # recovery counters and standby rows are live too
             assert held["recovery"]["sessions_lost"] == 0
             assert held["standbys"] == []
-            # lock released: straight back to the live path
-            assert sup.cluster_status()["cached"] is False
 
     def test_first_status_under_the_lock_goes_live(self):
-        """No snapshot cached yet: the live path is the only option, so
-        it is used even mid-recovery rather than erroring."""
+        """With no call before the recovery pass, a call under the lock
+        lists a worker that died ``alive: false`` all the same."""
         with make_supervisor(MemorySessionStore()) as sup:
-            assert sup._recovery_lock.acquire(blocking=False)
-            try:
-                status = sup.cluster_status()
-            finally:
-                sup._recovery_lock.release()
-            assert status["cached"] is False
-            assert len(status["workers"]) == 2
+            survivor, victim = sup.worker_addresses()
+            status, elapsed = self.status_under_recovery_lock(sup, kill=victim)
+            assert elapsed < 1.0
+            alive = {w["worker"]: w["alive"] for w in status["workers"]}
+            assert alive == {survivor: True, victim: False}
 
 
 class TestStandbys:

@@ -81,10 +81,7 @@ def outcome(op, *args):
 
 def members(cluster) -> tuple[list[str], list[str]]:
     """``(live, placing)``: live members, and those still taking
-    placements (live and not draining).
-
-    Read from ``worker_health``: ``cluster_status`` may answer from a
-    snapshot cached before a recovery pass that is still running."""
+    placements (live and not draining)."""
     rows = cluster.worker_health()
     live = sorted(row["worker"] for row in rows if row["alive"])
     placing = sorted(

@@ -223,40 +223,45 @@ class TestBatchedServing:
 
 class TestBatchOrderingUnderContention:
     def test_same_session_batches_apply_in_flush_order(self, setting):
-        # Regression: batch 1 = {a, b} flushes while session a's lock is
-        # held elsewhere; batch 2 = {b} must NOT leapfrog it -- a session
-        # sits in at most one batch in flight, so b's second step stays
-        # queued until batch 1 has run.
+        # Regression: batch 1 = {a, b} is held inside step_many on one of
+        # two pool threads; b's second step must NOT take the free
+        # thread and leapfrog it -- a session has at most one op in
+        # flight, so the step stays queued until batch 1 has run.
         scenario, builder = setting
-        from repro.service import SessionExecutor, StepBatcher
+        from repro.service import StepBatcher
 
         async def run():
             manager = SessionManager(builder)
             manager.open("a", rng=1)
             manager.open("b", rng=2)
             calls = []
+            release = threading.Event()
             original = manager.step_many
 
             def spy(cells):
                 calls.append(dict(cells))
+                if len(calls) == 1:
+                    release.wait(10)
                 return original(cells)
 
             manager.step_many = spy
-            executor = SessionExecutor(workers=0)
-            batcher = StepBatcher(manager, executor)
-            async with executor.hold_many(["a"]):
-                task_a = asyncio.ensure_future(batcher.submit("a", 1))
-                task_b1 = asyncio.ensure_future(batcher.submit("b", 1))
-                await asyncio.sleep(0)  # both queue before the flush runs
-                # Batch 1 flushes and waits for a's lock; b's second
-                # step queues behind it instead of forming a batch that
-                # would take b's lock first and apply out of order.
-                task_b2 = asyncio.ensure_future(batcher.submit("b", 2))
-                await until(lambda: batcher.stats()["pending"] == 1)
+            batcher = StepBatcher(manager, workers=2)
+            try:
+                step_a = batcher.submit("a", 1)
+                step_b1 = batcher.submit("b", 1)
+                await until(lambda: calls)  # batch 1 holds one thread
+                step_b2 = batcher.submit("b", 2)
+                await asyncio.sleep(0.05)  # time to misuse the free thread
+                assert batcher.stats()["pending"] == 1
                 assert batcher.stats()["inflight"] == 1
-            (_, rec_a), (_, rec_b1), (_, rec_b2) = await asyncio.gather(
-                task_a, task_b1, task_b2
-            )
+            finally:
+                release.set()
+            try:
+                (_, rec_a), (_, rec_b1), (_, rec_b2) = await asyncio.gather(
+                    step_a, step_b1, step_b2
+                )
+            finally:
+                batcher.shutdown()
             return calls, rec_a, rec_b1, rec_b2
 
         calls, rec_a, rec_b1, rec_b2 = asyncio.run(run())
@@ -267,8 +272,9 @@ class TestBatchOrderingUnderContention:
         assert calls[1] == {"b": 2}
 
     def test_finish_waits_for_pending_batched_step(self, setting):
-        # A pipelined step + finish on one session: the finish op's
-        # barrier must let the queued step complete first.
+        # A pipelined step + finish on one session: the finish queues
+        # behind the step in the session's FIFO, so the step completes
+        # first.
         scenario, builder = setting
 
         async def run():
@@ -283,9 +289,9 @@ class TestBatchOrderingUnderContention:
                 plug = asyncio.ensure_future(client.step("plug", 1))
                 await until(lambda: server._batcher.stats()["inflight"] == 1)
                 step_task = asyncio.ensure_future(client.step("u0", 4))
-                await until(lambda: server._batcher.window_occupancy() == 1)
+                await until(lambda: server._batcher.stats()["pending"] == 1)
                 finish_task = asyncio.ensure_future(client.finish("u0"))
-                # Counted on arrival; its task then reaches the barrier
+                # Counted on arrival, when it also enters u0's queue,
                 # before the held batch can complete.
                 await until(
                     lambda: server.metrics.snapshot()["requests"].get("finish") == 1
@@ -302,28 +308,27 @@ class TestBatchOrderingUnderContention:
         assert summary["n_released"] == 1
 
     def test_barrier_covers_flushed_but_unexecuted_batches(self, setting):
-        # Regression: a flushed batch leaves _pending before its flush
-        # task has run; a barrier arriving in that gap must still wait
-        # for the step instead of letting a finish/checkpoint overtake it.
+        # Regression: a flushed step leaves its queue before its job has
+        # run; an op queued in that gap must still wait for the step
+        # instead of letting a finish/checkpoint overtake it.
         scenario, builder = setting
-        from repro.service import SessionExecutor, StepBatcher
+        from repro.service import StepBatcher
 
         async def run():
             manager = SessionManager(builder)
             manager.open("a", rng=1)
-            executor = SessionExecutor(workers=0)
-            batcher = StepBatcher(manager, executor)
-            step_task = asyncio.ensure_future(batcher.submit("a", 3))
-            await asyncio.sleep(0)  # queued; its flush is scheduled, not run
-            batcher._spawn_flush()  # flush now; the flush task has not run
-            assert "a" not in batcher._pending
-            await batcher.barrier("a")
-            t_after_barrier = manager.session("a").t
-            _, record = await step_task
-            return t_after_barrier, record
+            batcher = StepBatcher(manager, workers=0)
+            step = batcher.submit("a", 3)
+            batcher._flush()  # flush now; the step's job has not run
+            assert "a" not in batcher._queues
+            _, t_seen = await batcher.run(
+                "a", "peek_budget", lambda: manager.session("a").t
+            )
+            _, record = await step
+            return t_seen, record
 
-        t_after_barrier, record = asyncio.run(run())
-        assert t_after_barrier == 2, "barrier returned before the step applied"
+        t_seen, record = asyncio.run(run())
+        assert t_seen == 2, "an op queued behind a flushed step ran first"
         assert record.t == 1
 
 
@@ -366,7 +371,7 @@ class TestGroupCommitQueue:
                 steps += [
                     asyncio.ensure_future(client.step(f"u{i}", 1)) for i in (1, 2, 3)
                 ]
-                await until(lambda: server._batcher.window_occupancy() == 3)
+                await until(lambda: server._batcher.stats()["pending"] == 3)
                 exposition = server.metrics.registry.render()
                 shedder = server._shedder
                 now = time.perf_counter()
@@ -392,6 +397,99 @@ class TestGroupCommitQueue:
         assert [record["t"] for record in records] == [1, 1, 1, 1]
         assert threads[0] is not loop_thread
         assert threads[0].name.startswith("repro-step"), threads[0].name
+
+    def test_eviction_skips_a_session_with_a_queued_step(self):
+        """Past ``max_resident`` the eviction victim is the least
+        recently used session with nothing queued or in flight: a session
+        whose step waits behind a held batch stays resident, rather than
+        being suspended and then restored at once by its own step."""
+
+        async def run():
+            server = ReleaseServer(
+                make_manager(), config=ServerConfig(workers=1, max_resident=2)
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate("abc"):
+                await client.open(name, seed=i)  # opening c evicts a
+            async with held_step_batch(server):
+                held = asyncio.ensure_future(client.step("c", 1))
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                queued = asyncio.ensure_future(client.step("b", 1))
+                await until(lambda: server._batcher.stats()["pending"] == 1)
+                opened = asyncio.ensure_future(client.open("d", seed=3))
+                await until(
+                    lambda: server.metrics.snapshot()["requests"]["open"] == 4
+                )
+            records = await asyncio.gather(held, queued)
+            await opened
+            stats = await client.stats()
+            await client.close()
+            await server.drain()
+            return records, stats["sessions"]
+
+        records, sessions = asyncio.run(run())
+        assert [record["t"] for record in records] == [1, 1]
+        assert sessions["restored"] == 0
+        assert sessions["evicted"] == 2  # a, then one idle session
+
+    def test_eviction_skips_a_session_with_an_op_in_flight(self):
+        """An open that completes on the second pool slot while ``b``'s
+        step is held on the first evicts ``c``, the least recently used
+        session with nothing queued or in flight, not ``b``."""
+
+        async def run():
+            server = ReleaseServer(
+                make_manager(), config=ServerConfig(workers=2, max_resident=2)
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate("abc"):
+                await client.open(name, seed=i)  # opening c evicts a
+            async with held_step_batch(server):
+                held = asyncio.ensure_future(client.step("b", 1))
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                opened = asyncio.ensure_future(client.open("d", seed=3))
+                await until(
+                    lambda: server.metrics.snapshot()["sessions"].get("evicted") == 2
+                )
+            await asyncio.gather(held, opened)
+            resident = sorted(server._backend.session_ids())
+            await client.close()
+            await server.drain()
+            return resident
+
+        assert asyncio.run(run()) == ["b", "d"]
+
+    def test_concurrent_evictions_stop_at_the_cap(self):
+        """Eight step replies each run an eviction pass at once; the
+        suspends they queue count against the cap, so together they
+        evict down to ``max_resident`` and no further: each round
+        restores the five sessions it finds suspended, and evicts five."""
+        trajectories = make_trajectories(8)
+
+        async def run():
+            server = ReleaseServer(
+                make_manager(), config=ServerConfig(workers=2, max_resident=3)
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            for i, name in enumerate(trajectories):
+                await client.open(name, seed=1000 + i)  # evicts u0..u4
+            rounds = []
+            for t in range(2):
+                await asyncio.gather(
+                    *(client.step(n, cells[t]) for n, cells in trajectories.items())
+                )
+                sessions = (await client.stats())["sessions"]
+                rounds.append(
+                    (sessions["evicted"], sessions["restored"], sessions["resident"])
+                )
+            await client.close()
+            await server.drain()
+            return rounds
+
+        assert asyncio.run(run()) == [(5 + 5, 5, 3), (5 + 10, 10, 3)]
 
     def test_a_faulting_member_fails_alone(self):
         """One session's engine error inside a shared ``step_many``

@@ -164,6 +164,27 @@ class TestAdmissionAndErrors:
 
         asyncio.run(run())
 
+    def test_concurrent_opens_respect_the_cap(self):
+        """Opens run on the pool, so several wait there at once; each
+        counts against the cap from its arrival, and a duplicate of one
+        still waiting is refused."""
+
+        async def run():
+            server = await start_server(max_sessions=2)
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            results = await asyncio.gather(
+                *(client.open(name, seed=1) for name in "aabc"),
+                return_exceptions=True,
+            )
+            await client.close()
+            await server.drain()
+            return results
+
+        a, duplicate, b, c = asyncio.run(run())
+        assert (a, b) == ("a", "b")
+        assert isinstance(duplicate, SessionError)
+        assert isinstance(c, ServiceBusyError)
+
     def test_unknown_session_and_double_open_are_session_errors(self):
         async def run():
             server = await start_server()
@@ -373,7 +394,7 @@ class TestDrainWithClientsConnected:
                 steps += [
                     asyncio.ensure_future(client.step(name, 0)) for name in names[1:]
                 ]
-                await until(lambda: server._batcher.window_occupancy() == 2)
+                await until(lambda: server._batcher.stats()["pending"] == 2)
                 drain = asyncio.ensure_future(server.drain())
                 await until(server._draining.is_set)
             replies = await asyncio.wait_for(asyncio.gather(*steps), 10)

@@ -374,7 +374,7 @@ class TestServedShedding:
                             client.step("u0", cells["u0"], deadline_ms=10)
                         )
                         other = asyncio.ensure_future(client.step("u1", cells["u1"]))
-                        await until(lambda: server._batcher.window_occupancy() == 2)
+                        await until(lambda: server._batcher.stats()["pending"] == 2)
                         await asyncio.sleep(0.05)  # u0 waits past its deadline
                     with pytest.raises(OverloadedError) as info:
                         await tight

@@ -208,10 +208,10 @@ async def serve_round(server, requests: list) -> list:
     as one batch.  ``server`` must run ``workers=1``.  Returns the
     replies in order, exceptions included.
     """
-    assert server._executor.workers == 1, "serve_round needs workers=1"
+    assert server._batcher.workers == 1, "serve_round needs workers=1"
     async with held_step_batch(server):
         tasks = [asyncio.ensure_future(requests[0])]
         await until(lambda: server._batcher.stats()["inflight"] == 1)
         tasks += [asyncio.ensure_future(request) for request in requests[1:]]
-        await until(lambda: server._batcher.window_occupancy() == len(tasks) - 1)
+        await until(lambda: server._batcher.stats()["pending"] == len(tasks) - 1)
     return await asyncio.gather(*tasks, return_exceptions=True)

@@ -71,8 +71,9 @@ class StepBatcher:
     (``None``: :func:`default_workers` for the backend's shard count;
     ``0`` runs every job inline on the event loop).  At most
     ``max(1, workers)`` jobs run at once.  A flush walks the sessions in
-    queue order and starts the head op of each one not in flight while
-    slots last: all the head steps share one job and one
+    turn (one that has just started an op goes to the back) and starts
+    the head op of each one not in flight while slots last: all the
+    head steps share one job and one
     :meth:`~repro.engine.backend.ExecutionBackend.step_batch` call, and
     every other op is a job of its own.  A lone step on an idle server
     runs at once; under load the steps that arrive while the pool is
@@ -117,8 +118,10 @@ class StepBatcher:
         self._restore = restore
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._shedder = shedder
-        # sid -> that session's ops not yet started, oldest first; in
-        # the order each session's oldest op arrived.
+        # sid -> that session's ops not yet started, oldest first.  The
+        # sessions take turns: one that starts an op and still has more
+        # queued moves to the back, so a session that keeps its pipeline
+        # full cannot hold the pool from the others.
         self._queues: dict[str, deque[_Op]] = {}
         self._queued = 0
         self._busy: set[str] = set()  # sessions with an op in flight
@@ -248,10 +251,10 @@ class StepBatcher:
         loop = asyncio.get_running_loop()
         for job in jobs:
             for sid in job:
-                queue = self._queues[sid]
+                queue = self._queues.pop(sid)
                 queue.popleft()
-                if not queue:
-                    del self._queues[sid]
+                if queue:
+                    self._queues[sid] = queue  # to the back: its turn is spent
             self._queued -= len(job)
             self._busy.update(job)
             self._running += 1

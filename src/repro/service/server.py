@@ -27,7 +27,8 @@ Concurrency model
 * Whenever a pool slot is free, the head ops start: the steps together
   as one batched backend call -- at once when the server is idle, in
   batches that grow with the load otherwise -- and every other op as a
-  job of its own.  Each job measures every member's queue wait, feeds
+  job of its own.  Sessions take turns at the slots, so a session that
+  keeps its pipeline full cannot hold back another session's ops.  Each job measures every member's queue wait, feeds
   the load shedder, sheds blown deadlines, restores suspended sessions
   and records the member's spans; tracing off (``trace=False``, or
   brownout) only drops the spans.

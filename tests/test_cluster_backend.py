@@ -385,8 +385,10 @@ class TestCrossPlacementRestore:
     at the current schema and the previous one, and continue
     bit-identically -- solo and batched."""
 
-    def checkpoint_and_reference(self, n_sessions=4, split=3):
-        trajectories = make_trajectories(n_sessions, seed=41)
+    def checkpoint_and_reference(self, names=None, split=3):
+        trajectories = make_trajectories(4 if names is None else len(names), seed=41)
+        if names is not None:
+            trajectories = dict(zip(names, trajectories.values()))
         reference = reference_records(trajectories)
         manager = make_manager()
         states = {}
@@ -440,15 +442,10 @@ class TestCrossPlacementRestore:
         # The ring hashes the workers' ports, so fixed ids could all
         # land on one worker: pick ids that each worker owns some of.
         names = [name for owned in sessions_by_worker(cluster, 4) for name in owned]
+        _, _, states, _ = self.checkpoint_and_reference(names)
         ring = cluster._placement_ring()
-        manager = make_manager()
-        for i, (name, trajectory) in enumerate(
-            zip(names, make_trajectories(len(names), seed=41).values())
-        ):
-            manager.open(name, rng=1000 + i)
-            for cell in trajectory[:3]:
-                manager.step(name, cell)
-            cluster.resume(manager.suspend(name))
+        for name, state in states.items():
+            cluster.resume(state)
             assert cluster._assigned(name) == ring.owner(name)
         placements = {cluster._assigned(n) for n in names}
         assert placements == set(cluster.worker_addresses())

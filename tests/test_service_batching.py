@@ -398,6 +398,50 @@ class TestGroupCommitQueue:
         assert threads[0] is not loop_thread
         assert threads[0].name.startswith("repro-step"), threads[0].name
 
+    def test_a_pipelining_session_cannot_starve_another_sessions_op(self):
+        """workers=1: ``a`` keeps three steps outstanding, sending the
+        next on every reply, so its queue never empties.  The sessions
+        take turns at the pool, so ``b``'s ``peek_budget``, queued behind
+        ``a``'s first step, answers after ``a``'s second step rather
+        than after ``a``'s whole stream."""
+        cells = iter(make_trajectories(1)["u0"])
+
+        async def run():
+            server = ReleaseServer(make_manager(), config=ServerConfig(workers=1))
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("a", seed=0)
+            await client.open("b", seed=1)
+            replies, steps = [], []
+
+            def step_a():
+                cell = next(cells, None)
+                if cell is not None:
+                    steps.append(asyncio.ensure_future(client.step("a", cell)))
+                    steps[-1].add_done_callback(refill)
+
+            def refill(reply):
+                replies.append(("a", reply.result()["t"]))
+                step_a()
+
+            async with held_step_batch(server):
+                step_a()
+                await until(lambda: server._batcher.stats()["inflight"] == 1)
+                step_a()
+                step_a()
+                peek = asyncio.ensure_future(client.peek_budget("b"))
+                peek.add_done_callback(lambda _: replies.append(("b", None)))
+                await until(lambda: server._batcher.queue_depth() == 4)
+            await peek
+            await until(lambda: len(replies) == HORIZON + 1)
+            await client.close()
+            await server.drain()
+            return replies
+
+        replies = asyncio.run(run())
+        assert replies.index(("b", None)) <= 2, replies
+        assert [t for name, t in replies if name == "a"] == list(range(1, HORIZON + 1))
+
     def test_eviction_skips_a_session_with_a_queued_step(self):
         """Past ``max_resident`` the eviction victim is the least
         recently used session with nothing queued or in flight: a session

@@ -29,6 +29,7 @@ from repro.errors import (
     ServiceError,
     SessionError,
     ValidationError,
+    WorkerDownError,
 )
 from repro.service import (
     AsyncServiceClient,
@@ -111,6 +112,44 @@ class TestEndToEndEquivalence:
         assert stats["sessions"]["evicted"] > 0
         assert stats["sessions"]["restored"] > 0
         assert stats["sessions"]["resident"] <= 3
+
+    def test_a_failed_restore_keeps_the_parked_session(self, monkeypatch):
+        """Restore-on-touch takes the evicted session's store entry
+        before it resumes it, so a resume that fails must put the entry
+        back: the step gets the typed error, and the next one restores
+        the session where it was parked."""
+        trajectory = make_trajectories(1)["u0"]
+        reference = direct_records({"u0": trajectory})["u0"]
+
+        async def run():
+            server = await start_server(max_resident=1, workers=1)
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("u0", seed=1000)
+            got = [await client.step("u0", cell) for cell in trajectory[:2]]
+            await client.open("other", seed=1)  # evicts u0 at t=2
+            parked = server.store.get("u0")
+            assert parked is not None
+
+            def resume(state):
+                raise WorkerDownError("injected: the resume target died")
+
+            monkeypatch.setattr(server._backend, "resume", resume)
+            with pytest.raises(WorkerDownError):
+                await client.step("u0", trajectory[2])
+            kept = server.store.get("u0")
+            monkeypatch.undo()
+            got += [await client.step("u0", cell) for cell in trajectory[2:]]
+            stats = await client.stats()
+            await client.close()
+            await server.drain()
+            return parked, kept, got, stats["sessions"]
+
+        parked, kept, got, sessions = asyncio.run(run())
+        assert kept is not None and kept.to_json() == parked.to_json()
+        assert [strip_elapsed(r) for r in got] == [
+            strip_elapsed(r) for r in reference
+        ]
+        assert sessions["restored"] == 1
 
     def test_finish_summary_matches_direct_log(self):
         trajectories = make_trajectories(2)

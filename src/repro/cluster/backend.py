@@ -64,7 +64,12 @@ Locks, in the order they are taken (never the reverse):
 
 Per-worker **in-flight windows** (a bounded semaphore per handle) keep
 one slow worker from absorbing every router thread: callers queue at
-the window instead of stacking RPCs onto a wedged socket.
+the window instead of stacking RPCs onto a wedged socket.  An op that
+needs several workers (a wave, ``suspend_all``, ``shard_stats``, a
+heartbeat sweep) starts no thread: it sends to each in sorted address
+order, so two never wait on each other's slots, before it waits for
+any reply, and lasts as long as its slowest worker.  The only threads
+are a reader per handle, the heartbeat, standby probes and recovery.
 
 The fleet is either dialled (``ClusterBackend(addresses)``, workers
 started elsewhere) or spawned: :meth:`ClusterBackend.spawn_local` starts
@@ -82,14 +87,12 @@ import socket
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping
 
 from ..engine.backend import ExecutionBackend
 from ..engine.records import ReleaseLog, ReleaseRecord
 from ..engine.session import SessionState
 from ..errors import (
-    FrameTooLargeError,
     ReproError,
     ServiceError,
     SessionError,
@@ -97,11 +100,10 @@ from ..errors import (
     WorkerDownError,
 )
 from ..obs.registry import LatencyHistogram
-from ..obs.trace import activate, deactivate
 from ..obs.trace import current as current_trace
 from .codec import decode_message, encode_call
 from .control import RetryPolicy, StepJournal
-from .frames import MAX_RPC_FRAME_BYTES
+from .frames import MAX_RPC_FRAME_BYTES, check_frame_size
 from .ring import DEFAULT_REPLICAS, HashRing
 from .transport import SocketChannel
 from .worker import spawn_local_workers, stop_local_worker
@@ -161,38 +163,48 @@ def parse_address(
     return f"tcp://{host}:{port}", host, port
 
 
-def _call_in_trace(ctx, handle: "WorkerHandle", op: str, args):
-    """``handle.call`` on a dispatch thread, under the caller's trace.
+class _Pending:
+    """One call on the wire: the reply slot :meth:`WorkerHandle.wait` takes."""
 
-    ``ctx`` is the submitting thread's :func:`~repro.obs.trace.current`
-    (or ``None``): the active trace is thread-local, so without it a
-    fanned-out RPC would neither stamp the trace id nor record its span.
-    """
-    if ctx is None:
-        return handle.call(op, args)
-    token = activate(*ctx)
-    try:
-        return handle.call(op, args)
-    finally:
-        deactivate(token)
-
-
-class _Waiter:
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
+    def __init__(self, op: str, trace, windowed: bool, timeout):
+        self.op = op
+        self.trace = trace  # (tracer, trace id) of a traced caller, or None
+        self.windowed = windowed
+        self.timeout = timeout
+        self.started = time.perf_counter()
+        self.deadline: float | None = None  # monotonic, from the send
         self.result = None
         self.error: BaseException | None = None
+        self.event = threading.Event()
+
+
+def _fan_out(op: str, calls: Mapping["WorkerHandle", object], **options) -> dict:
+    """Send ``op`` to each handle in ``calls`` (handle -> args) before any
+    wait; returns each handle's result, or the exception it raised."""
+    replies: dict = {}
+    sent = {}
+    for handle in sorted(calls, key=lambda handle: handle.address):
+        try:
+            sent[handle] = handle.send(op, calls[handle], **options)
+        except Exception as error:  # noqa: BLE001 - kept per worker
+            replies[handle] = error
+    for handle, call in sent.items():
+        try:
+            replies[handle] = handle.wait(call)
+        except Exception as error:  # noqa: BLE001 - kept per worker
+            replies[handle] = error
+    return replies
 
 
 class WorkerHandle:
     """Router-side endpoint of one worker: a pipelined RPC channel.
 
     One socket, many concurrent calls: a writer lock serializes frame
-    sends, a dedicated reader thread matches replies to waiters by
-    correlation id, and a bounded window caps in-flight RPCs.  Any
-    channel failure -- hangup, undecodable reply, or a call missing its
+    sends, a dedicated reader thread matches replies to pending calls
+    by correlation id, and a bounded window caps in-flight RPCs.
+    :meth:`call` is :meth:`send` then :meth:`wait`, so one thread can
+    send to several workers before it waits for any.  Any channel
+    failure -- hangup, undecodable reply, or a call missing its
     deadline -- fails the handle *and every pending call* with typed
     :class:`WorkerDownError`; the error persists for later calls, so a
     lost worker is loud, not silent.
@@ -230,7 +242,7 @@ class WorkerHandle:
         self._channel = SocketChannel(sock, max_frame_bytes)
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._pending: dict[int, _Waiter] = {}
+        self._pending: dict[int, _Pending] = {}
         self.rpc_latency = LatencyHistogram()
         self.last_heartbeat = time.monotonic()
         self._ids = itertools.count(1)
@@ -257,9 +269,15 @@ class WorkerHandle:
             pending = list(self._pending.values())
             self._pending.clear()
         self._channel.close()  # wakes the reader thread
-        for waiter in pending:
-            waiter.error = self._down_error()
-            waiter.event.set()
+        for call in pending:
+            call.error = self._down_error()
+            self._resolve(call)
+
+    def _resolve(self, call: _Pending) -> None:
+        """Free ``call``'s slot and wake its waiter; whoever popped it calls this."""
+        if call.windowed:
+            self._window.release()
+        call.event.set()
 
     def _read_loop(self) -> None:
         while True:
@@ -275,18 +293,27 @@ class WorkerHandle:
                 self._fail(f"undecodable reply ({error})")
                 return
             with self._state_lock:
-                waiter = self._pending.pop(message.get("id"), None)
-            if waiter is None:
+                call = self._pending.pop(message.get("id"), None)
+                if call is not None:
+                    # The worker answered (typed errors included): record
+                    # the round trip and refresh the liveness stamp.
+                    elapsed = time.perf_counter() - call.started
+                    self.rpc_latency.record(elapsed)
+                    self.last_heartbeat = time.monotonic()
+            if call is None:
                 continue  # unsolicited (e.g. a protocol error with id None)
+            if call.trace is not None:
+                tracer, trace_id = call.trace
+                tracer.record("rpc", trace_id, elapsed, op=call.op, worker=self.address)
             if message["kind"] == "ok":
-                waiter.result = message["result"]
+                call.result = message["result"]
             elif message["kind"] == "err":
-                waiter.error = message["error"]
+                call.error = message["error"]
             else:
-                waiter.error = ServiceError(
+                call.error = ServiceError(
                     f"worker {self.address} sent a {message['kind']!r} frame"
                 )
-            waiter.event.set()
+            self._resolve(call)
 
     # -- observability -------------------------------------------------
     @property
@@ -318,54 +345,53 @@ class WorkerHandle:
     def call(self, op: str, args=None, timeout_s=_UNSET, windowed: bool = True):
         """One pipelined RPC; raises the worker's typed error or
         :class:`WorkerDownError` on channel failure / missed deadline."""
+        return self.wait(self.send(op, args, timeout_s, windowed))
+
+    def send(
+        self, op: str, args=None, timeout_s=_UNSET, windowed: bool = True
+    ) -> _Pending:
+        """Put one call on the wire for :meth:`wait`; its deadline starts
+        now, and its window slot is held until the reply or a failure."""
         timeout = self._rpc_timeout_s if timeout_s is _UNSET else timeout_s
         request_id = next(self._ids)
         ctx = current_trace()
         trace_id = ctx[1] if ctx is not None and ctx[0].enabled else None
         payload = encode_call(op, args, request_id, trace=trace_id)
-        waiter = _Waiter()
-        started = time.perf_counter()
+        # An oversized call raises here, before it is sent or takes a
+        # slot: the channel stays healthy.
+        check_frame_size(len(payload), self._channel.max_frame_bytes)
+        call = _Pending(op, ctx[:2] if trace_id else None, windowed, timeout)
         if windowed:
             self._window.acquire()
-        try:
-            with self._state_lock:
-                if not self.alive:
-                    raise self._down_error()
-                self._pending[request_id] = waiter
-            try:
-                with self._send_lock:
-                    self._channel.send(payload)
-            except FrameTooLargeError:
-                # Nothing hit the wire; the channel stays healthy.
-                with self._state_lock:
-                    self._pending.pop(request_id, None)
-                raise
-            except OSError as error:
-                self._fail(f"send failed ({type(error).__name__})")
-                raise self._down_error() from error
-            if not waiter.event.wait(timeout):
-                self._fail(
-                    f"no reply to {op!r} within {timeout:.1f}s (hung worker)"
-                )
-                raise self._down_error()
-        finally:
-            if windowed:
-                self._window.release()
-        # The worker answered (typed errors included): record the round
-        # trip and refresh the liveness stamp.  Histogram writes are
-        # serialized under the state lock because calls are pipelined
-        # across router threads.
-        elapsed = time.perf_counter() - started
         with self._state_lock:
-            self.rpc_latency.record(elapsed)
-            self.last_heartbeat = time.monotonic()
-        if trace_id is not None:
-            ctx[0].record(
-                "rpc", trace_id, elapsed, op=op, worker=self.address
+            if not self.alive:
+                if windowed:
+                    self._window.release()
+                raise self._down_error()
+            self._pending[request_id] = call
+        try:
+            with self._send_lock:
+                self._channel.send(payload)
+        except OSError as error:
+            self._fail(f"send failed ({type(error).__name__})")
+            raise self._down_error() from error
+        if timeout is not None:
+            call.deadline = time.monotonic() + timeout
+        return call
+
+    def wait(self, call: _Pending):
+        """A :meth:`send`'s result; raises as :meth:`call` does."""
+        remaining = None
+        if call.deadline is not None:
+            remaining = max(0.0, call.deadline - time.monotonic())
+        if not call.event.wait(remaining):
+            self._fail(
+                f"no reply to {call.op!r} within {call.timeout:.1f}s (hung worker)"
             )
-        if waiter.error is not None:
-            raise waiter.error
-        return waiter.result
+            raise self._down_error()
+        if call.error is not None:
+            raise call.error
+        return call.result
 
     def ping(self, timeout_s: float = HEARTBEAT_TIMEOUT_S) -> bool:
         """One heartbeat; False (and a dead handle) on silence.
@@ -375,10 +401,11 @@ class WorkerHandle:
         loop even mid-``step_batch``, so a busy worker is never
         mistaken for a hung one.
         """
-        try:
-            reply = self.call("ping", None, timeout_s=timeout_s, windowed=False)
-        except Exception:  # noqa: BLE001 - any failure means unhealthy
-            return False
+        pongs = _fan_out("ping", {self: None}, timeout_s=timeout_s, windowed=False)
+        return self.took_pong(pongs[self])
+
+    def took_pong(self, reply) -> bool:
+        """Whether a ping's result (or error) is a pong; keeps its load."""
         if reply == "pong":  # pre-load-reporting worker build
             return True
         if isinstance(reply, dict) and reply.get("pong"):
@@ -449,7 +476,6 @@ class ClusterBackend(ExecutionBackend):
         window: int = DEFAULT_WINDOW,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
-        max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
         replicas: int = DEFAULT_REPLICAS,
         retry: RetryPolicy | None = None,
         store=None,
@@ -484,7 +510,6 @@ class ClusterBackend(ExecutionBackend):
         self._rpc_timeout_s = rpc_timeout_s
         self._connect_timeout_s = float(connect_timeout_s)
         self._window = int(window)
-        self._max_frame_bytes = int(max_frame_bytes)
         self._retry = retry if retry is not None else RetryPolicy()
         self._store = store
         self._metrics = None
@@ -519,13 +544,6 @@ class ClusterBackend(ExecutionBackend):
             raise
         self._ring: HashRing | None = None
         self._rebuild_ring()
-        # Sized generously past the initial fleet: threads spawn lazily,
-        # and `join_worker` can grow membership at runtime (fleets past
-        # this cap still work; their batch waves just queue).
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=max(32, self.n_shards),
-            thread_name_prefix="repro-cluster-rpc",
-        )
         if heartbeat_interval_s and heartbeat_interval_s > 0:
             self._start(self._heartbeat_loop, heartbeat_interval_s, "heartbeat")
         if self._standbys and standby_check_interval_s > 0:
@@ -586,7 +604,6 @@ class ClusterBackend(ExecutionBackend):
         """
         handle = WorkerHandle(
             address,
-            max_frame_bytes=self._max_frame_bytes,
             window=self._window,
             rpc_timeout_s=self._rpc_timeout_s,
             connect_timeout_s=self._connect_timeout_s,
@@ -636,12 +653,22 @@ class ClusterBackend(ExecutionBackend):
     def _heartbeat_loop(self, interval_s: float) -> None:
         # Jittered period: a large fleet of routers (or one router over
         # many workers) must not ping in lockstep and synchronize its
-        # load spikes.
+        # load spikes.  Every live worker is pinged before any pong is
+        # awaited, so a sweep lasts one heartbeat timeout however many
+        # workers are silent.
         rng = random.Random(os.getpid())
         while not self._closing.wait(interval_s * rng.uniform(0.8, 1.2)):
-            for handle in list(self._handles.values()):
-                if handle.alive and not handle.ping(self._heartbeat_timeout_s):
-                    self._after_worker_down()
+            with self._lock:
+                live = [h for h in self._handles.values() if h.alive]
+            pongs = _fan_out(
+                "ping",
+                dict.fromkeys(live),
+                timeout_s=self._heartbeat_timeout_s,
+                windowed=False,
+            )
+            # A list, not a generator: every pong's load is kept.
+            if not all([h.took_pong(reply) for h, reply in pongs.items()]):
+                self._after_worker_down()
 
     def _placement_ring(self) -> HashRing:
         with self._lock:
@@ -836,8 +863,9 @@ class ClusterBackend(ExecutionBackend):
     def step_batch(
         self, cells: Mapping[str, int]
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-        """One wave: at most one RPC per worker, under every member's
-        exclusion; members whose worker died heal and retry solo."""
+        """One wave: at most one RPC per worker, all sent before any
+        reply is awaited, under every member's exclusion; members whose
+        worker died heal and retry solo."""
         records: dict[str, ReleaseRecord] = {}
         errors: dict[str, BaseException] = {}
         with self._session_op(*cells):
@@ -849,26 +877,21 @@ class ClusterBackend(ExecutionBackend):
                     errors[sid] = error
                     continue
                 by_worker.setdefault(handle, {})[sid] = cell
-            ctx = current_trace()
-            futures = {
-                handle: self._dispatch.submit(
-                    _call_in_trace, ctx, handle, "step_batch", worker_cells
-                )
-                for handle, worker_cells in by_worker.items()
-            }
-            for handle, future in futures.items():
-                try:
-                    worker_records, worker_errors = future.result()
-                except Exception as error:  # noqa: BLE001 - keep per member
-                    if isinstance(error, WorkerDownError):
+            for handle, reply in _fan_out("step_batch", by_worker).items():
+                if isinstance(reply, Exception):
+                    if isinstance(reply, WorkerDownError):
                         self._after_worker_down()
-                    errors.update(dict.fromkeys(by_worker[handle], error))
+                    errors.update(dict.fromkeys(by_worker[handle], reply))
                     continue
+                worker_records, worker_errors = reply
                 records.update(worker_records)
                 errors.update(worker_errors)
             for sid in records:
                 self._note_step(sid, cells[sid])
-        # Members whose worker died heal and retry one at a time.
+        # Members whose worker died join the recovery pass (as a solo
+        # step's retry does), then retry one at a time.
+        if any(isinstance(error, WorkerDownError) for error in errors.values()):
+            self._run_recoveries(wait=True)
         for sid, error in list(errors.items()):
             if isinstance(error, WorkerDownError):
                 try:
@@ -905,18 +928,15 @@ class ClusterBackend(ExecutionBackend):
         lost.
         """
         self._run_recoveries(wait=True)
-        futures = [
-            (address, self._dispatch.submit(handle.call, "suspend_all"))
-            for address, handle in list(self._handles.items())
-            if handle.alive
-        ]
+        with self._lock:
+            live = [h for h in self._handles.values() if h.alive]
         states: list[SessionState] = []
         failed: set[str] = set()
-        for address, future in futures:
-            try:
-                states.extend(future.result())
-            except Exception:  # noqa: BLE001 - worker down mid-drain
-                failed.add(address)
+        for handle, reply in _fan_out("suspend_all", dict.fromkeys(live)).items():
+            if isinstance(reply, Exception):  # worker down mid-drain
+                failed.add(handle.address)
+            else:
+                states.extend(reply)
         with self._lock:
             dead = failed | self._dead()
             lost = [
@@ -1450,29 +1470,31 @@ class ClusterBackend(ExecutionBackend):
         return self._n_states
 
     def shard_stats(self) -> list[dict]:
-        """One observability row per worker (address included)."""
+        """One observability row per worker (address included); every
+        live worker is asked before any reply is awaited."""
         rows = []
         with self._lock:
             addresses = list(self._addresses)
             handles = dict(self._handles)
+        replies = _fan_out(
+            "stats", dict.fromkeys(h for h in handles.values() if h.alive)
+        )
         for index, address in enumerate(addresses):
             handle = handles[address]
             draining = address in self._draining
-            if handle.alive:
-                try:
-                    rows.append(
-                        {
-                            "shard": index,
-                            "worker": address,
-                            "alive": True,
-                            "draining": draining,
-                            "health": handle.health(),
-                            **handle.call("stats"),
-                        }
-                    )
-                    continue
-                except Exception:  # noqa: BLE001 - died just now
-                    pass
+            reply = replies.get(handle)  # absent for a dead worker
+            if isinstance(reply, dict):
+                rows.append(
+                    {
+                        "shard": index,
+                        "worker": address,
+                        "alive": True,
+                        "draining": draining,
+                        "health": handle.health(),
+                        **reply,
+                    }
+                )
+                continue
             with self._lock:
                 routed = sum(
                     1 for a in self._sessions.values() if a == address
@@ -1555,9 +1577,6 @@ class ClusterBackend(ExecutionBackend):
             stop_local_worker(
                 process, SHUTDOWN_TIMEOUT_S if address in asked else 0.0
             )
-        dispatch = getattr(self, "_dispatch", None)
-        if dispatch is not None:
-            dispatch.shutdown(wait=False)
 
     def __enter__(self) -> "ClusterBackend":
         return self

@@ -49,13 +49,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from .._listener import Listener
-from ..engine.backend import step_batch_on_manager
 from ..engine.manager import SessionManager
 from ..errors import FrameTooLargeError, ProtocolError, ServiceError
 from ..obs.trace import Tracer
 from .chaos import FaultInjector, FaultPlan
 from .codec import decode_message, encode_error, encode_ok
-from .frames import FRAME_HEADER, MAX_RPC_FRAME_BYTES, pack_frame, payload_length
+from .frames import FRAME_HEADER, pack_frame, payload_length
 
 __all__ = [
     "WorkerServer",
@@ -65,6 +64,8 @@ __all__ = [
     "stop_local_worker",
 ]
 
+#: The interface spawned local workers listen on.
+LOOPBACK = "127.0.0.1"
 #: Seconds a spawned local worker gets to report its bound port.
 LOCAL_SPAWN_TIMEOUT_S = 120.0
 #: Seconds between a local worker's checks that its parent is alive.
@@ -93,7 +94,7 @@ def _worker_execute(manager: SessionManager, metrics, op: str, args, tracer=None
         metrics.record_step(record.elapsed_s, record)
         return record
     if op == "step_batch":
-        records, errors = step_batch_on_manager(manager, args)
+        records, errors = manager.step_batch(args)
         for record in records.values():
             metrics.record_request("step")
             metrics.record_step(record.elapsed_s, record)
@@ -159,13 +160,11 @@ class WorkerServer:
         factory: Callable[[], SessionManager],
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
         fault_plan: FaultPlan | None = None,
         capacity: float | None = None,
     ):
         self._factory = factory
         self._host = host
-        self._max_frame_bytes = int(max_frame_bytes)
         if capacity is not None and not capacity > 0:
             raise ServiceError(f"worker capacity must be > 0, got {capacity}")
         #: Relative placement weight reported in ``hello``; the router
@@ -274,7 +273,7 @@ class WorkerServer:
         self._engine.shutdown(wait=True)
 
     async def _reply(self, send, payload: bytes) -> None:
-        await send(pack_frame(payload, self._max_frame_bytes))
+        await send(pack_frame(payload))
 
     async def _run_op(self, send, request_id, op, args, trace=None):
         loop = asyncio.get_running_loop()
@@ -338,7 +337,7 @@ class WorkerServer:
         while True:
             try:
                 header = await reader.readexactly(FRAME_HEADER.size)
-                length = payload_length(header, self._max_frame_bytes)
+                length = payload_length(header)
                 payload = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 return
@@ -425,7 +424,6 @@ def run_worker(
     factory: Callable[[], SessionManager],
     host: str,
     port: int,
-    max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
     announce=None,
     fault_plan: FaultPlan | None = None,
     capacity: float | None = None,
@@ -439,18 +437,14 @@ def run_worker(
     fault injection (see :mod:`repro.cluster.chaos`); ``capacity`` sets
     the placement weight reported to routers (default: CPU count).
     """
-    server = WorkerServer(
-        factory, host, port, max_frame_bytes, fault_plan, capacity
-    )
+    server = WorkerServer(factory, host, port, fault_plan, capacity)
     return asyncio.run(_serve_until_signalled(server, announce))
 
 
 # ----------------------------------------------------------------------
 # local spawning (`repro serve --shards N`, tests, benchmarks)
 # ----------------------------------------------------------------------
-def _local_worker_main(
-    conn, factory, host, max_frame_bytes, fault_plan, capacity=None
-) -> None:
+def _local_worker_main(conn, factory, fault_plan, capacity) -> None:
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
@@ -465,9 +459,7 @@ def _local_worker_main(
         server.request_stop()
 
     async def main() -> None:
-        server = WorkerServer(
-            factory, host, 0, max_frame_bytes, fault_plan, capacity
-        )
+        server = WorkerServer(factory, LOOPBACK, 0, fault_plan, capacity)
         try:
             await server.start()
         except BaseException as error:  # noqa: BLE001 - report, then die
@@ -491,12 +483,12 @@ def _local_worker_main(
     asyncio.run(main())
 
 
-def _await_report(conn, host: str, spawn_timeout_s: float) -> str:
+def _await_report(conn) -> str:
     """A started worker's address, from the port it reports on ``conn``."""
     try:
-        if not conn.poll(spawn_timeout_s):
+        if not conn.poll(LOCAL_SPAWN_TIMEOUT_S):
             raise ServiceError(
-                f"cluster worker did not come up within {spawn_timeout_s:.0f}s"
+                f"cluster worker did not come up within {LOCAL_SPAWN_TIMEOUT_S:.0f}s"
             )
         report = json.loads(conn.recv_bytes(1 << 16).decode())
     except (EOFError, OSError) as error:
@@ -507,7 +499,7 @@ def _await_report(conn, host: str, spawn_timeout_s: float) -> str:
         conn.close()
     if "error" in report:
         raise ServiceError(f"cluster worker failed to start: {report['error']}")
-    return f"tcp://{host}:{report['port']}"
+    return f"tcp://{LOOPBACK}:{report['port']}"
 
 
 def stop_local_worker(process, grace_s: float = 0.0, timeout_s: float = 5.0) -> None:
@@ -521,10 +513,6 @@ def stop_local_worker(process, grace_s: float = 0.0, timeout_s: float = 5.0) -> 
 def spawn_local_workers(
     factory: Callable[[], SessionManager],
     n_workers: int,
-    host: str = "127.0.0.1",
-    context=None,
-    max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
-    spawn_timeout_s: float = LOCAL_SPAWN_TIMEOUT_S,
     fault_plan: FaultPlan | None = None,
     capacity: float | None = None,
 ) -> list[tuple]:
@@ -539,14 +527,14 @@ def spawn_local_workers(
     message.  ``fault_plan`` and ``capacity`` are as in
     :func:`spawn_local_worker`.
     """
-    ctx = context if context is not None else default_context()
+    ctx = default_context()
     started = []
     try:
         for _ in range(n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_local_worker_main,
-                args=(child_conn, factory, host, max_frame_bytes, fault_plan, capacity),
+                args=(child_conn, factory, fault_plan, capacity),
                 name="repro-cluster-worker",
                 daemon=True,
             )
@@ -554,8 +542,7 @@ def spawn_local_workers(
             child_conn.close()
             started.append((process, parent_conn))
         return [
-            (process, _await_report(conn, host, spawn_timeout_s))
-            for process, conn in started
+            (process, _await_report(conn)) for process, conn in started
         ]
     except BaseException:
         for process, conn in started:
@@ -566,10 +553,6 @@ def spawn_local_workers(
 
 def spawn_local_worker(
     factory: Callable[[], SessionManager],
-    host: str = "127.0.0.1",
-    context=None,
-    max_frame_bytes: int = MAX_RPC_FRAME_BYTES,
-    spawn_timeout_s: float = LOCAL_SPAWN_TIMEOUT_S,
     fault_plan: FaultPlan | None = None,
     capacity: float | None = None,
 ):
@@ -580,7 +563,4 @@ def spawn_local_worker(
     test-side counterpart of ``repro worker --fault-plan``; ``capacity``
     sets its placement weight (``repro worker --capacity``).
     """
-    return spawn_local_workers(
-        factory, 1, host, context, max_frame_bytes, spawn_timeout_s,
-        fault_plan, capacity,
-    )[0]
+    return spawn_local_workers(factory, 1, fault_plan, capacity)[0]

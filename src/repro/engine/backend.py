@@ -38,53 +38,6 @@ from .records import ReleaseLog, ReleaseRecord
 from .session import SessionState
 
 
-def step_batch_on_manager(
-    manager: SessionManager, cells: Mapping[str, int]
-) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-    """One batch of steps with per-member error isolation.
-
-    Each member is validated individually, so one bad session id or
-    out-of-range cell rejects that request alone.  Valid members are
-    grouped by timestamp and each group steps through
-    :meth:`SessionManager.step_many` (bit-identical to per-session
-    stepping).  A group whose lockstep call fails has been rolled back
-    whole, so its members re-run one at a time with solo
-    :meth:`SessionManager.step` -- bit-identical again -- and only the
-    member that raises fails.
-
-    Returns ``(records, errors)`` keyed by session id; every input id
-    appears in exactly one of the two.  Shared by
-    :class:`InProcessBackend` and the cluster worker so both serving
-    modes fail a batch identically.
-    """
-    errors: dict[str, BaseException] = {}
-    valid: dict[str, int] = {}
-    for sid, cell in cells.items():
-        try:
-            valid[sid] = manager.validate_step(sid, cell)
-        except Exception as error:  # noqa: BLE001 - isolate per member
-            errors[sid] = error
-    groups: dict[int, dict[str, int]] = {}
-    for sid, cell in valid.items():
-        groups.setdefault(manager.session(sid).t, {})[sid] = cell
-    records: dict[str, ReleaseRecord] = {}
-    for t, group_cells in groups.items():
-        try:
-            records.update(manager.step_many(group_cells))
-        except Exception as group_error:  # noqa: BLE001 - isolate per member
-            for sid, cell in group_cells.items():
-                if manager.session(sid).t != t:
-                    # Committed before a commit-phase failure: stepping
-                    # it again would release a second timestamp.
-                    errors[sid] = group_error
-                    continue
-                try:
-                    records[sid] = manager.step(sid, cell)
-                except Exception as error:  # noqa: BLE001 - this member's
-                    errors[sid] = error
-    return records, errors
-
-
 class ExecutionBackend(abc.ABC):
     """Synchronous fleet-execution surface the serving layer drives.
 
@@ -148,9 +101,10 @@ class ExecutionBackend(abc.ABC):
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
         """Step many sessions with per-member error isolation.
 
-        Same contract as :func:`step_batch_on_manager`; worker
-        backends additionally fan the batch out as one message per
-        worker.
+        Same contract as :meth:`SessionManager.step_batch`, which every
+        backend ends in: in process directly, on a worker backend once
+        per worker, each worker's share of the batch sent before any
+        reply is awaited.
         """
 
     @abc.abstractmethod
@@ -262,7 +216,7 @@ class InProcessBackend(ExecutionBackend):
     def step_batch(
         self, cells: Mapping[str, int]
     ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
-        return step_batch_on_manager(self._manager, cells)
+        return self._manager.step_batch(cells)
 
     def peek_budget(self, session_id: str) -> float:
         return self._manager.peek_budget(session_id)

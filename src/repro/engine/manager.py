@@ -264,8 +264,8 @@ class SessionManager:
         Raises :class:`SessionError` when the session is not open, has
         exhausted its horizon, or the cell is outside the session's own
         map; returns the cell as an int.  Shared by :meth:`step_all`,
-        :meth:`step_many` and the service's step batcher so all entry
-        points reject a bad request identically.
+        :meth:`step_many` and :meth:`step_batch` so all entry points
+        reject a bad request identically.
         """
         session = self._sessions[self._require(session_id)]
         if session.t > session.horizon:
@@ -328,28 +328,65 @@ class SessionManager:
         The whole batch is validated before any session steps; a bad
         entry raises without advancing anyone.  A mid-flight error rolls
         every session of the failing group back to its committed
-        boundary.
+        boundary, but the groups before it stay committed: their
+        sessions have advanced.  :meth:`step_batch` keeps each member's
+        outcome apart.
         """
-        batch = []
-        for sid, cell in true_cells.items():
-            cell = self.validate_step(sid, cell)
-            batch.append((self._sessions[sid], cell))
-
-        groups: dict[tuple[int, int], list[tuple[ReleaseSession, int]]] = {}
-        for session, cell in batch:
-            groups.setdefault((id(session._core), session.t), []).append(
-                (session, cell)
-            )
+        valid = {
+            sid: self.validate_step(sid, cell) for sid, cell in true_cells.items()
+        }
         records: dict[str, ReleaseRecord] = {}
-        for members in groups.values():
-            sessions = [session for session, _ in members]
-            cells = [cell for _, cell in members]
+        for group in self._lockstep_groups(valid):
+            sessions = [self._sessions[sid] for sid in group]
             for session, record in zip(
-                sessions, step_sessions_lockstep(sessions, cells)
+                sessions, step_sessions_lockstep(sessions, list(group.values()))
             ):
                 records[session.session_id] = record
         # Return in the caller's order, like step_all.
         return {sid: records[sid] for sid in true_cells}
+
+    def step_batch(
+        self, true_cells: Mapping[str, int]
+    ) -> tuple[dict[str, ReleaseRecord], dict[str, BaseException]]:
+        """Step a served batch, each member's outcome apart: ``(records,
+        errors)`` by session id.  A member that fails validation fails
+        alone; the rest step one :meth:`step_many` call per lockstep
+        group.  A failed group was rolled back, so its members re-run
+        solo, except one it had committed (a commit-phase error), which
+        gets the group's error and never steps twice."""
+        errors: dict[str, BaseException] = {}
+        valid: dict[str, int] = {}
+        for sid, cell in true_cells.items():
+            try:
+                valid[sid] = self.validate_step(sid, cell)
+            except Exception as error:  # noqa: BLE001 - isolate per member
+                errors[sid] = error
+        records: dict[str, ReleaseRecord] = {}
+        for group in self._lockstep_groups(valid):
+            t = self._sessions[next(iter(group))].t
+            try:
+                records.update(self.step_many(group))
+            except Exception as group_error:  # noqa: BLE001 - isolate per member
+                for sid, cell in group.items():
+                    session = self._sessions[sid]
+                    if session.t != t:
+                        # Committed before a commit-phase failure: stepping
+                        # it again would release a second timestamp.
+                        errors[sid] = group_error
+                        continue
+                    try:
+                        records[sid] = session.step(cell)
+                    except Exception as error:  # noqa: BLE001 - this member's
+                        errors[sid] = error
+        return records, errors
+
+    def _lockstep_groups(self, valid: Mapping[str, int]) -> list[dict[str, int]]:
+        """Validated steps grouped by (scenario core, timestamp)."""
+        groups: dict[tuple[int, int], dict[str, int]] = {}
+        for sid, cell in valid.items():
+            session = self._sessions[sid]
+            groups.setdefault((id(session._core), session.t), {})[sid] = cell
+        return list(groups.values())
 
     def peek_budget(self, session_id: str) -> float:
         """Budget the session's next step would start calibrating from."""

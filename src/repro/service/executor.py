@@ -77,8 +77,8 @@ class StepBatcher:
     :meth:`~repro.engine.backend.ExecutionBackend.step_batch` call, and
     every other op is a job of its own.  A lone step on an idle server
     runs at once; under load the steps that arrive while the pool is
-    busy form the next batch.  Since ``step_many`` is bit-identical to
-    solo stepping, so is every served stream.
+    busy form the next batch.  Since a batch's lockstep groups are
+    bit-identical to solo stepping, so is every served stream.
 
     Every job admits each of its members the same way before it touches
     any session state: it measures the member's queue wait (submit to
@@ -88,9 +88,9 @@ class StepBatcher:
     session (``restore``).  The backend call runs under the trace of the
     first traced member, so a worker backend stamps one trace id per
     RPC.  A failure -- bad id or cell, shed deadline, engine error (see
-    :func:`~repro.engine.backend.step_batch_on_manager`) -- rejects that
+    :meth:`~repro.engine.SessionManager.step_batch`) -- rejects that
     member's request alone.  With a worker backend a batch fans out as
-    at most one RPC per worker
+    at most one RPC per worker, all sent before any reply is awaited
     (:meth:`repro.cluster.ClusterBackend.step_batch`).
     """
 

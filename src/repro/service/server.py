@@ -314,7 +314,7 @@ class ReleaseServer:
         registry.gauge(
             "repro_sessions_stored",
             "Suspended sessions parked in the store",
-            fn=lambda: len(self._store),
+            fn=self._stored_count,
         )
         registry.gauge(
             "repro_connections",
@@ -610,9 +610,8 @@ class ReleaseServer:
         digest = spec.digest() if spec is not None else "default"
         self._session_scenario[sid] = digest
         self._count_scenario(digest, "opened")
-        self._touch(sid)
         self._metrics.record_session_event("opened")
-        await self._maybe_evict()
+        await self._touch(sid)
         payload = {"session": sid, "horizon": horizon}
         if spec is not None:
             payload["scenario"] = digest
@@ -635,8 +634,7 @@ class ReleaseServer:
             self._metrics.record_session_event("restored")
         self._metrics.record_step(record.elapsed_s, record)
         self._count_scenario(self._session_scenario.get(sid, "default"), "steps")
-        self._touch(sid)
-        await self._maybe_evict()
+        await self._touch(sid)
         return record.to_json()
 
     async def _op_peek(self, request: Request, trace_id: str | None = None) -> dict:
@@ -645,8 +643,7 @@ class ReleaseServer:
         budget = await self._session_op(
             sid, request, trace_id, lambda: self._backend.peek_budget(sid)
         )
-        self._touch(sid)
-        await self._maybe_evict()
+        await self._touch(sid)
         return {"session": sid, "budget": budget}
 
     async def _op_finish(self, request: Request, trace_id: str | None = None) -> dict:
@@ -684,7 +681,7 @@ class ReleaseServer:
             return state
 
         state = await self._session_op(sid, request, trace_id, _checkpoint)
-        self._touch(sid)
+        await self._touch(sid)
         return {
             "session": sid,
             "t": state.committed_t,
@@ -772,7 +769,7 @@ class ReleaseServer:
         snapshot["sessions"].update(
             open=len(self._open),
             resident=self._backend.resident_count(),
-            stored=len(self._store),
+            stored=self._stored_count(),
         )
         if shard_rows is None:
             cache = self._backend.cache_stats()
@@ -956,11 +953,17 @@ class ReleaseServer:
             raise
         return True
 
-    def _touch(self, sid: str) -> None:
-        """Mark a session resident and most-recently-used (loop thread)."""
+    async def _touch(self, sid: str) -> None:
+        """Mark a session resident and most-recently-used, then hold the
+        residency cap (loop thread)."""
         self._open.setdefault(sid, None)
         self._resident_lru.pop(sid, None)
         self._resident_lru[sid] = None
+        await self._maybe_evict()
+
+    def _stored_count(self) -> int:
+        """Open sessions not resident (the store also holds checkpoints)."""
+        return len(self._open) - self._backend.resident_count()
 
     async def _maybe_evict(self) -> None:
         """Suspend LRU sessions past the residency cap.

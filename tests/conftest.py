@@ -6,6 +6,8 @@ import asyncio
 import inspect
 import logging
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +51,39 @@ def fail_on_asyncio_errors():
         pytest.fail(
             "the asyncio loop logged errors:\n"
             + "\n".join(handler.format(record) for record in handler.records),
+            pytrace=False,
+        )
+
+
+#: Seconds a ``repro-*`` thread started during a test gets to exit after it.
+THREAD_EXIT_GRACE_S = 5.0
+
+
+@pytest.fixture(autouse=True)
+def fail_on_leaked_repro_threads():
+    """Fail any test that leaves a ``repro-*`` thread running.
+
+    Every thread the package starts carries the prefix: the router's
+    reader, heartbeat and recovery threads, the step pool, a worker's
+    engine thread.  One that the test started and that is still alive
+    :data:`THREAD_EXIT_GRACE_S` after it ended belongs to a handle,
+    backend or server nobody closed.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_EXIT_GRACE_S
+    started = [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-") and thread not in before
+    ]
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = sorted(thread.name for thread in started if thread.is_alive())
+    if leaked:
+        pytest.fail(
+            f"threads still running {THREAD_EXIT_GRACE_S:.0f}s after the "
+            f"test: {', '.join(leaked)}",
             pytrace=False,
         )
 

@@ -17,12 +17,14 @@ The load-bearing guarantees of :mod:`repro.cluster`'s router layer:
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.cluster.backend import ClusterBackend, WorkerHandle, parse_address
+from repro.cluster.chaos import FaultPlan
 from repro.cluster.frames import FRAME_HEADER
 from repro.cluster.worker import (
     spawn_local_worker,
@@ -542,6 +544,7 @@ class TestDeadlines:
 
     def test_oversized_call_raises_before_send_and_keeps_the_channel(self):
         fake = _HungWorker()
+        handle = None
         try:
             handle = WorkerHandle(
                 fake.address, max_frame_bytes=512, rpc_timeout_s=5.0
@@ -551,4 +554,123 @@ class TestDeadlines:
             assert handle.alive is True
             assert handle.ping() is True  # channel unharmed
         finally:
+            if handle is not None:
+                handle.close()
             fake.close()
+
+
+class TestPipelinedFanOut:
+    """An op that needs several workers sends to every one of them
+    before it waits for any reply, all on its caller's thread."""
+
+    def test_a_batched_wave_starts_no_thread(self, cluster, monkeypatch):
+        (a,), (b,) = sessions_by_worker(cluster)
+        cluster.open(a, seed=1)
+        cluster.open(b, seed=2)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        records, errors = cluster.step_batch({a: 3, b: 4})
+        monkeypatch.undo()
+        assert errors == {} and set(records) == {a, b}
+        assert started == []
+
+    def test_concurrent_fan_outs_keep_streams_and_return_every_slot(self, fleet):
+        """Threads that each fan waves and stats calls out over both
+        workers, through windows of two slots: every stream equals the
+        in-process one, and every window slot is back afterwards."""
+        n_threads, window = 6, 2
+        with ClusterBackend(fleet, heartbeat_interval_s=0, window=window) as cluster:
+            first, second = sessions_by_worker(cluster, n_threads)
+            trajectories = dict(
+                zip(first + second, make_trajectories(2 * n_threads).values())
+            )
+            reference = reference_records(trajectories)
+            for i, name in enumerate(trajectories):
+                cluster.open(name, seed=1000 + i)
+            got = {name: [] for name in trajectories}
+            failures = []
+
+            def drive(a, b):
+                try:
+                    for t in range(HORIZON):
+                        records, errors = cluster.step_batch(
+                            {a: trajectories[a][t], b: trajectories[b][t]}
+                        )
+                        assert errors == {}
+                        for sid, record in records.items():
+                            got[sid].append(strip(record))
+                        cluster.shard_stats()
+                except BaseException as error:  # noqa: BLE001 - asserted below
+                    failures.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=drive, args=pair, daemon=True)
+                    for pair in zip(first, second)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 60
+                for thread in threads:
+                    thread.join(max(0.0, deadline - time.monotonic()))
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert got == reference
+            for name in trajectories:
+                cluster.finish(name)
+            for handle in cluster._handles.values():
+                free = [handle._window.acquire(blocking=False) for _ in range(window)]
+                assert free == [True] * window
+                assert not handle._window.acquire(blocking=False)
+                for _ in range(window):
+                    handle._window.release()
+
+    def test_a_wave_over_two_delayed_workers_takes_one_delay(self):
+        delay_s = 0.8
+        spawned = spawn_local_workers(
+            make_manager, 2, fault_plan=FaultPlan(rpc_delay_ms=delay_s * 1000)
+        )
+        try:
+            with ClusterBackend(
+                [address for _, address in spawned], heartbeat_interval_s=0
+            ) as cluster:
+                (a,), (b,) = sessions_by_worker(cluster)
+                cluster.open(a, seed=1)
+                cluster.open(b, seed=2)
+                started = time.monotonic()
+                records, errors = cluster.step_batch({a: 3, b: 4})
+                elapsed = time.monotonic() - started
+        finally:
+            stop_fleet([process for process, _ in spawned])
+        assert errors == {} and set(records) == {a, b}
+        assert elapsed < 1.5 * delay_s
+
+    def test_a_heartbeat_sweep_marks_two_silent_workers_down_in_one_timeout(self):
+        timeout_s = 2.0
+        spawned = spawn_local_workers(
+            make_manager, 2, fault_plan=FaultPlan(blackhole_after_step=0)
+        )
+        try:
+            started = time.monotonic()
+            with ClusterBackend(
+                [address for _, address in spawned],
+                heartbeat_interval_s=0.05,
+                heartbeat_timeout_s=timeout_s,
+            ) as cluster:
+                while any(row["alive"] for row in cluster.worker_health()):
+                    assert time.monotonic() - started < 10 * timeout_s
+                    time.sleep(0.01)
+                elapsed = time.monotonic() - started
+        finally:
+            stop_fleet([process for process, _ in spawned])
+        assert elapsed < 1.5 * timeout_s

@@ -827,6 +827,47 @@ class TestStandbys:
             assert sup.recovery_stats()["standby_promotions"] == 0
             assert metrics.snapshot()["standby_promotions"] == 0
 
+    def test_a_batched_step_that_meets_a_death_waits_for_the_promotion(
+        self, tmp_path
+    ):
+        """A batch member whose worker died returns only once the
+        recovery pass the death started is over, standby promotion
+        included, as a solo step does -- also when that pass rescues the
+        member before the member's own retry runs."""
+        standby_proc, standby = spawn_local_worker(make_manager)
+        store = DirectorySessionStore(str(tmp_path / "ckpt"))
+        try:
+            with make_supervisor(
+                store, checkpoint_every=1, standbys=[standby],
+                standby_check_interval_s=0,
+            ) as sup:
+                for i in range(8):
+                    sup.open(f"u{i}", seed=i)
+                victim = sup.worker_addresses()[0]
+                doomed = sorted(
+                    s for s in sup.session_ids() if sup.assignment_of(s) == victim
+                )
+                assert doomed
+                kill_worker(sup, victim)
+                # A busy scheduler: the retry runs after the pass has
+                # rescued the member, and the promotion takes a while.
+                step, join = sup.step, sup.join_worker
+
+                def late_step(sid, cell):
+                    time.sleep(0.3)
+                    return step(sid, cell)
+
+                def slow_join(address):
+                    time.sleep(0.6)
+                    return join(address)
+
+                sup.step, sup.join_worker = late_step, slow_join
+                records, errors = sup.step_batch({doomed[0]: 3})
+                assert errors == {} and records[doomed[0]].t == 1
+                assert sup.recovery_stats()["standby_promotions"] == 1
+        finally:
+            stop_fleet([standby_proc])
+
     def test_standby_promotion_under_load(self, tmp_path):
         """The chaos drill: a worker dies while concurrent drivers are
         actively stepping a durable fleet.  Every stream heals inline

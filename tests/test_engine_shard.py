@@ -25,11 +25,18 @@ import time
 import pytest
 
 from repro.engine.backend import InProcessBackend, as_backend
-from repro.errors import ServiceError, SessionError, ShardDownError, WorkerDownError
+from repro.errors import (
+    QuantificationError,
+    ServiceError,
+    SessionError,
+    ShardDownError,
+    WorkerDownError,
+)
 
 from topology import (
     HORIZON,
     N_CELLS,
+    UNQUANTIFIABLE_SPEC,
     kill_worker,
     make_manager,
     make_trajectories,
@@ -97,6 +104,25 @@ class TestBitIdentity:
         assert set(records) == {"u0"}
         assert isinstance(errors["u1"], SessionError)
         assert isinstance(errors["ghost"], SessionError)
+
+    def test_a_failing_tenant_leaves_its_batch_mates_alone(self, pool):
+        """Two tenants at t=1 in one batch, the failing one second: the
+        first gets the record a solo step gives, the second its own
+        error, and it does not advance."""
+        # On worker backends both land on one worker, so its manager
+        # steps them as one batch.
+        a, b = sessions_by_worker(pool, 2)[0] if pool.n_shards else ("a", "b")
+        pool.open(a, seed=1000)
+        pool.open(b, seed=1001, scenario=UNQUANTIFIABLE_SPEC)
+        manager = make_manager()
+        manager.open(a, rng=1000)
+        for cell in (3, 4):
+            records, errors = pool.step_batch({a: cell, b: 7})
+            assert list(records) == [a]
+            assert strip(records[a]) == strip(manager.step(a, cell))
+            assert list(errors) == [b]
+            assert isinstance(errors[b], QuantificationError)
+        assert pool.checkpoint(b).committed_t == 0
 
 
 class TestBitIdentityInProcess(TestBitIdentity):

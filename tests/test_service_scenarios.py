@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster import ClusterBackend
 from repro.engine import SessionManager
-from repro.errors import ScenarioError
+from repro.errors import QuantificationError, ScenarioError
 from repro.markov.simulate import sample_trajectory
 from repro.scenario import (
     ChainSpec,
@@ -34,7 +34,7 @@ from repro.service import (
 )
 from repro.service.protocol import Request
 
-from topology import serve_round
+from topology import UNQUANTIFIABLE_SPEC, serve_round
 
 HORIZON = 6
 
@@ -239,6 +239,53 @@ class TestMixedScenarioServe:
         assert stats["sessions"]["evicted"] > 0
         assert stats["sessions"]["restored"] > 0
         assert stats["batching"]["max_batch"] == len(sessions) - 1
+
+    def test_a_failing_tenant_in_a_shared_batch_fails_alone(self):
+        """Tenant ``b`` can release nothing: every step raises
+        ``QuantificationError``.  Its steps share a batch with ``a``'s,
+        queued after them; ``b`` gets its own error and stays at t=1,
+        and ``a``'s replies equal an in-process replay."""
+        cells = [3, 8, 12]
+        replay = SessionManager(DEFAULT_SPEC)
+        replay.open("a", rng=1000)
+        expected = [strip_elapsed(replay.step("a", c).to_json()) for c in cells]
+
+        async def run():
+            server = ReleaseServer(
+                SessionManager(DEFAULT_SPEC),
+                config=ServerConfig(workers=1),
+                allow_any_scenario=True,
+            )
+            await server.start()
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("lead", seed=1)
+            await client.open("a", seed=1000)
+            await client.open("b", seed=1001, scenario=UNQUANTIFIABLE_SPEC)
+            replies = []
+            for cell in cells:
+                # "lead" runs alone, then a's and b's steps flush together.
+                replies.append(
+                    await serve_round(
+                        server,
+                        [
+                            client.step("lead", cell),
+                            client.step("a", cell),
+                            client.step("b", 7),
+                        ],
+                    )
+                )
+            parked_b = await client.checkpoint("b")
+            stats = await client.stats()
+            await client.close()
+            await server.drain()
+            return replies, parked_b, stats
+
+        replies, parked_b, stats = asyncio.run(run())
+        assert stats["batching"]["max_batch"] == 2
+        assert [strip_elapsed(reply_a) for _, reply_a, _ in replies] == expected
+        for _, _, reply_b in replies:
+            assert isinstance(reply_b, QuantificationError), reply_b
+        assert parked_b["t"] == 0
 
     @pytest.mark.parametrize("shards_before,shards_after", [(2, 3), (2, 0), (0, 2)])
     def test_drain_and_restart_under_different_shard_count(

@@ -538,6 +538,30 @@ class TestCheckpointOpAndStats:
         assert stored is not None
         assert stored.to_json() == reply["state"]
 
+    def test_a_checkpoint_holds_the_residency_cap(self):
+        """Checkpointing a parked session restores it, so it evicts
+        another, like every op that touches a session; ``stored`` then
+        counts the one parked session, not the store's two rows (the
+        parked state and the checkpoint)."""
+
+        async def run():
+            server = await start_server(max_resident=1, workers=2)
+            client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+            await client.open("a", seed=1)
+            await client.open("b", seed=2)  # parks a
+            await client.checkpoint("a")  # restores a, parks b
+            stats = await client.stats()
+            rows = len(server.store)
+            gauge = server.metrics.registry.get("repro_sessions_stored").value()
+            await client.close()
+            await server.drain()
+            return stats["sessions"], rows, gauge
+
+        sessions, rows, gauge = asyncio.run(run())
+        assert (sessions["open"], sessions["resident"]) == (2, 1)
+        assert rows == 2
+        assert sessions["stored"] == gauge == 1
+
     def test_stats_shape(self):
         async def run():
             server = await start_server()

@@ -28,6 +28,7 @@ import pytest
 from repro.errors import ServiceError, ShardDownError
 from repro.service import (
     AsyncServiceClient,
+    DirectorySessionStore,
     MemorySessionStore,
     ReleaseServer,
     ServerConfig,
@@ -163,6 +164,34 @@ class TestShardedStats:
         aggregate = shards["aggregate"]
         assert aggregate["requests"]["step"] == len(trajectories) * HORIZON
         assert aggregate["step_latency"]["count"] == len(trajectories) * HORIZON
+
+    def test_stored_counts_parked_sessions_not_durable_checkpoints(self, tmp_path):
+        """A recovering cluster keeps a durable checkpoint of every
+        resident session in the store; none of them is parked."""
+        store = DirectorySessionStore(str(tmp_path / "ckpt"))
+        trajectories = make_trajectories(4)
+
+        async def run():
+            with open_backend("local", store=store, checkpoint_every=2) as engine:
+                server = ReleaseServer(engine, store=store)
+                await server.start()
+                client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+                for i, name in enumerate(trajectories):
+                    await client.open(name, seed=1000 + i)
+                for t in range(2):
+                    for name, trajectory in trajectories.items():
+                        await client.step(name, trajectory[t])
+                stats = await client.stats()
+                rows = len(store)
+                gauge = server.metrics.registry.get("repro_sessions_stored").value()
+                await client.close()
+                await server.drain()
+            return stats["sessions"], rows, gauge
+
+        sessions, rows, gauge = asyncio.run(run())
+        assert (sessions["open"], sessions["resident"]) == (4, 4)
+        assert rows == 4
+        assert sessions["stored"] == gauge == 0
 
     def test_in_process_stats_have_no_shard_section(self):
         trajectories = make_trajectories(2)

@@ -31,6 +31,13 @@ from repro.geo.regions import Region
 from repro.lppm.planar_laplace import PlanarLaplaceMechanism
 from repro.markov.simulate import sample_trajectory
 from repro.markov.synthetic import gaussian_kernel_transitions
+from repro.scenario import (
+    ChainSpec,
+    EventSpec,
+    GridSpec,
+    MechanismSpec,
+    ScenarioSpec,
+)
 
 HORIZON = 6
 N_CELLS = 16
@@ -55,6 +62,22 @@ def make_builder() -> SessionBuilder:
 
 def make_manager() -> SessionManager:
     return SessionManager(make_builder())
+
+
+#: A tenant no step of which can be released: its fixed prior sits on
+#: cell 15, where the event (cells 0..3 at t=1) cannot hold, so every
+#: step raises ``QuantificationError: Pr(EVENT) = 0``.  It compiles and
+#: opens like any scenario.
+UNQUANTIFIABLE_SPEC = ScenarioSpec(
+    grid=GridSpec(rows=4, cols=4),
+    chain=ChainSpec.gaussian(sigma=1.0),
+    events=(EventSpec.presence_range(0, 3, start=1, end=1),),
+    mechanism=MechanismSpec("planar_laplace", {"alpha": 0.5}),
+    epsilon=0.5,
+    horizon=HORIZON,
+    prior_mode="fixed",
+    prior=(0.0,) * (N_CELLS - 1) + (1.0,),
+)
 
 
 def make_trajectories(n_sessions: int, seed: int = 7) -> dict[str, list[int]]:

@@ -19,15 +19,7 @@ from ..core.two_world import TwoWorldModel
 from ..errors import QuantificationError
 from ..events.events import PatternEvent, PresenceEvent
 from ..lppm.base import LPPM
-from ..markov.transition import TimeVaryingChain, TransitionMatrix
-
-
-def _as_chain(chain) -> TimeVaryingChain:
-    if isinstance(chain, TimeVaryingChain):
-        return chain
-    if isinstance(chain, TransitionMatrix):
-        return TimeVaryingChain.homogeneous(chain)
-    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))
+from ..markov.transition import as_chain
 
 
 def _emission_columns(lppm_or_matrices, observations, m: int) -> np.ndarray:
@@ -99,7 +91,7 @@ class EventInferenceAttack:
     """
 
     def __init__(self, chain, event, horizon: int):
-        self._chain = _as_chain(chain)
+        self._chain = as_chain(chain)
         if isinstance(event, (PresenceEvent, PatternEvent)):
             self._model = TwoWorldModel(self._chain, event, horizon)
             self._engine = "two-world"
@@ -141,7 +133,7 @@ class EventInferenceAttack:
 
 def location_posteriors(chain, pi, lppm_or_matrices, observations) -> np.ndarray:
     """``Pr(u_t | o_1..o_T)`` for every t: the classic localization attack."""
-    model = _as_chain(chain)
+    model = as_chain(chain)
     columns = _emission_columns(lppm_or_matrices, observations, model.n_states)
     return smoothed_posteriors(model, pi, columns)
 
@@ -165,7 +157,7 @@ def viterbi_map_trajectory(chain, pi, lppm_or_matrices, observations) -> list[in
     mechanism's emission columns.  Ties break toward the lower cell
     index (argmax convention), making the output deterministic.
     """
-    model = _as_chain(chain)
+    model = as_chain(chain)
     m = model.n_states
     pi = check_probability_vector(pi, "pi")
     if pi.size != m:

@@ -49,6 +49,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from .._listener import Listener
+from ..core.qp import kernel_stats
+from ..core.two_world import front_stats
 from ..engine.manager import SessionManager
 from ..errors import FrameTooLargeError, ProtocolError, ServiceError
 from ..obs.trace import Tracer
@@ -70,6 +72,8 @@ LOOPBACK = "127.0.0.1"
 LOCAL_SPAWN_TIMEOUT_S = 120.0
 #: Seconds between a local worker's checks that its parent is alive.
 PARENT_CHECK_INTERVAL_S = 1.0
+#: Seconds a terminated local worker gets to exit before it is left.
+LOCAL_STOP_TIMEOUT_S = 5.0
 
 
 def default_context() -> multiprocessing.context.BaseContext:
@@ -148,6 +152,7 @@ def _worker_execute(manager: SessionManager, metrics, op: str, args, tracer=None
                 "size": cache.size,
                 "evictions": cache.evictions,
             },
+            "solver": {"kernel": kernel_stats(), "front": front_stats()},
         }
     raise ServiceError(f"unknown worker op {op!r}")
 
@@ -502,12 +507,13 @@ def _await_report(conn) -> str:
     return f"tcp://{LOOPBACK}:{report['port']}"
 
 
-def stop_local_worker(process, grace_s: float = 0.0, timeout_s: float = 5.0) -> None:
-    """Reap a spawned worker: wait ``grace_s``, then terminate and join."""
+def stop_local_worker(process, grace_s: float = 0.0) -> None:
+    """Reap a spawned worker: wait ``grace_s``, then terminate and join
+    for up to :data:`LOCAL_STOP_TIMEOUT_S`."""
     process.join(grace_s)
     if process.is_alive():
         process.terminate()
-        process.join(timeout_s)
+        process.join(LOCAL_STOP_TIMEOUT_S)
 
 
 def spawn_local_workers(

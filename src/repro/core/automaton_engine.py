@@ -23,15 +23,7 @@ from ..errors import EventError, QuantificationError
 from ..events.compiler import CompiledEvent, compile_event
 from ..events.events import SpatiotemporalEvent
 from ..events.expressions import Expression
-from ..markov.transition import TimeVaryingChain, TransitionMatrix
-
-
-def _as_chain(chain) -> TimeVaryingChain:
-    if isinstance(chain, TimeVaryingChain):
-        return chain
-    if isinstance(chain, TransitionMatrix):
-        return TimeVaryingChain.homogeneous(chain)
-    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))
+from ..markov.transition import as_chain
 
 
 class AutomatonModel:
@@ -49,7 +41,7 @@ class AutomatonModel:
     """
 
     def __init__(self, chain, event, horizon: int):
-        self._chain = _as_chain(chain)
+        self._chain = as_chain(chain)
         if isinstance(event, CompiledEvent):
             self._compiled = event
         elif isinstance(event, SpatiotemporalEvent):

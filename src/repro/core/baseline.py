@@ -23,15 +23,7 @@ from .._validation import as_float_array, check_probability_vector
 from ..errors import QuantificationError
 from ..events.events import PatternEvent, SpatiotemporalEvent
 from ..events.expressions import Expression
-from ..markov.transition import TimeVaryingChain, TransitionMatrix
-
-
-def _as_chain(chain) -> TimeVaryingChain:
-    if isinstance(chain, TimeVaryingChain):
-        return chain
-    if isinstance(chain, TransitionMatrix):
-        return TimeVaryingChain.homogeneous(chain)
-    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))
+from ..markov.transition import TimeVaryingChain, as_chain
 
 
 def _event_expression(event) -> Expression:
@@ -57,7 +49,7 @@ def enumerate_prior(chain, event, pi, horizon: int | None = None) -> float:
     ``horizon`` defaults to the event's last timestamp.  Exponential --
     use only on toy instances (this is the point of the baseline).
     """
-    model = _as_chain(chain)
+    model = as_chain(chain)
     expression = _event_expression(event)
     m = model.n_states
     dist = check_probability_vector(pi, "initial distribution")
@@ -80,7 +72,7 @@ def enumerate_joint(chain, event, pi, emission_columns, upto_t: int | None = Non
     ``p~_{o_i}``; enumeration runs to ``max(t, end)`` so the event's value
     is fully determined on every trajectory.
     """
-    model = _as_chain(chain)
+    model = as_chain(chain)
     expression = _event_expression(event)
     m = model.n_states
     dist = check_probability_vector(pi, "initial distribution")
@@ -124,7 +116,7 @@ def pattern_prior_naive(chain, pattern: PatternEvent, pi) -> float:
     """
     if not isinstance(pattern, PatternEvent):
         raise QuantificationError("pattern_prior_naive requires a PatternEvent")
-    model = _as_chain(chain)
+    model = as_chain(chain)
     m = model.n_states
     dist = check_probability_vector(pi, "initial distribution")
     if dist.size != m:
@@ -154,7 +146,7 @@ def pattern_joint_naive(chain, pattern: PatternEvent, pi, emission_columns) -> f
     """
     if not isinstance(pattern, PatternEvent):
         raise QuantificationError("pattern_joint_naive requires a PatternEvent")
-    model = _as_chain(chain)
+    model = as_chain(chain)
     m = model.n_states
     dist = check_probability_vector(pi, "initial distribution")
     if dist.size != m:

@@ -16,15 +16,7 @@ import numpy as np
 
 from .._validation import as_float_array, check_probability_vector
 from ..errors import QuantificationError
-from ..markov.transition import TimeVaryingChain, TransitionMatrix
-
-
-def _chain_arrays(chain) -> TimeVaryingChain:
-    if isinstance(chain, TimeVaryingChain):
-        return chain
-    if isinstance(chain, TransitionMatrix):
-        return TimeVaryingChain.homogeneous(chain)
-    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))
+from ..markov.transition import as_chain
 
 
 def _validated_emissions(emission_columns, m: int) -> np.ndarray:
@@ -43,7 +35,7 @@ def forward_messages(chain, initial, emission_columns) -> np.ndarray:
 
     Eq. (10): ``alpha_t[k] = p~_{o_t}[k] * sum_i alpha_{t-1}[i] M[i, k]``.
     """
-    model = _chain_arrays(chain)
+    model = as_chain(chain)
     m = model.n_states
     pi = check_probability_vector(initial, "initial distribution")
     if pi.size != m:
@@ -63,7 +55,7 @@ def backward_messages(chain, emission_columns) -> np.ndarray:
     Eq. (11) with ``beta_T = 1``:
     ``beta_t[k] = sum_i M[k, i] p~_{o_{t+1}}[i] beta_{t+1}[i]``.
     """
-    model = _chain_arrays(chain)
+    model = as_chain(chain)
     m = model.n_states
     cols = _validated_emissions(emission_columns, m)
     horizon = cols.shape[0]

@@ -31,20 +31,12 @@ import numpy as np
 from .._validation import check_probability_vector, check_timestamp
 from ..errors import EventError
 from ..events.events import PatternEvent, PresenceEvent, SpatiotemporalEvent
-from ..markov.transition import TimeVaryingChain, TransitionMatrix
+from ..markov.transition import TimeVaryingChain, as_chain
 
 try:  # scipy ships with the library, but the sparse path degrades cleanly
     from scipy import sparse as _scipy_sparse
 except ImportError:  # pragma: no cover - exercised only on scipy-less hosts
     _scipy_sparse = None
-
-
-def _as_chain(chain) -> TimeVaryingChain:
-    if isinstance(chain, TimeVaryingChain):
-        return chain
-    if isinstance(chain, TransitionMatrix):
-        return TimeVaryingChain.homogeneous(chain)
-    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +167,7 @@ class TwoWorldModel:
         *,
         sparse: bool | None = None,
     ):
-        self._chain = _as_chain(chain)
+        self._chain = as_chain(chain)
         if not isinstance(event, (PresenceEvent, PatternEvent)):
             raise EventError(
                 "TwoWorldModel supports PRESENCE and PATTERN events; use "

@@ -286,11 +286,13 @@ class SessionManager:
         """Release one location for many sessions in one call.
 
         Sessions are stepped one at a time with :meth:`step`, in the
-        mapping's order, sharing each scenario's verdict cache and
-        mechanism ladder.  Independently seeded sessions release
-        different cells, so their fronts diverge after the first step
-        and the cache rarely hits (9.5% of lookups on the perf ledger's
-        engine-solo fleet); :meth:`step_many` is the batched path.
+        mapping's order: each runs the engine's one calibration loop as
+        a group of one, which consults the scenario's verdict cache, and
+        shares its mechanism ladder.  Independently seeded sessions
+        release different cells, so their fronts diverge after the first
+        step and the cache rarely hits (9.5% of lookups on the perf
+        ledger's engine-solo fleet); :meth:`step_many` is the batched
+        path.
 
         The whole batch is validated (ids open, horizons not exceeded,
         cells in range) before any session steps, so a bad entry raises
@@ -312,18 +314,19 @@ class SessionManager:
         driven in lockstep, or a service micro-batching concurrent step
         requests) are grouped into one
         :func:`~repro.engine.session.step_sessions_lockstep` call, which
-        propagates all their fronts through the scenario's shared lifted
-        chain in one stacked matmul and funnels each calibration round's
-        Theorem IV.1 checks into one batched solver call.  Sessions at
-        distinct timestamps -- or on different scenarios -- form
-        separate groups, so mixed fleets still batch within each
-        (scenario, phase) cohort.
+        runs the same calibration loop as a solo :meth:`step` over the
+        whole group: it propagates all their fronts through the
+        scenario's shared lifted chain in one stacked matmul and
+        funnels each calibration round's Theorem IV.1 checks into one
+        batched solver call.  Sessions at distinct timestamps -- or on
+        different scenarios -- form separate groups, so mixed fleets
+        still batch within each (scenario, phase) cohort.
 
         Each session's records and release stream are bit-identical to
         :meth:`step_all`'s (same RNG consumption, same verdicts); see
         :func:`~repro.engine.session.step_sessions_lockstep` for the two
-        stream-invisible differences (verdict cache bypass, wall-clock
-        UNKNOWNs under ``time_limit_s``).
+        stream-invisible differences (a group does not consult the
+        verdict cache, and wall-clock UNKNOWNs under ``time_limit_s``).
 
         The whole batch is validated before any session steps; a bad
         entry raises without advancing anyone.  A mid-flight error rolls

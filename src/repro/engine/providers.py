@@ -30,6 +30,7 @@ from ..errors import QuantificationError
 from ..geo.grid import GridMap
 from ..lppm.base import LPPM
 from ..lppm.delta_location_set import DeltaLocationSetMechanism, posterior_update
+from ..markov.transition import as_chain
 
 
 @runtime_checkable
@@ -121,16 +122,7 @@ class DeltaLocationSetProvider:
 
     def __init__(self, grid: GridMap, chain, alpha: float, delta: float, initial):
         self._grid = grid
-        from ..markov.transition import TimeVaryingChain, TransitionMatrix
-
-        if isinstance(chain, TimeVaryingChain):
-            self._chain = chain
-        elif isinstance(chain, TransitionMatrix):
-            self._chain = TimeVaryingChain.homogeneous(chain)
-        else:
-            self._chain = TimeVaryingChain.homogeneous(
-                TransitionMatrix(np.asarray(chain))
-            )
+        self._chain = as_chain(chain)
         self._alpha = check_positive(alpha, "alpha")
         self._delta = float(delta)
         self._posterior = check_probability_vector(initial, "initial distribution")

@@ -17,6 +17,13 @@ Driven to the end of a trajectory with the default halving calibration,
 a session reproduces the legacy batch run bit-for-bit (same RNG
 consumption, same verdicts, same records); ``PriSTE.run`` is now a thin
 wrapper doing exactly that.
+
+Algorithm 1 is written once, in :func:`_calibrate`: prepare the fronts,
+sample a candidate per session, check them all in one verdict round,
+halve the budgets, repeat, commit.  A solo :meth:`ReleaseSession.step`
+runs it with a group of one and consults the verdict cache;
+:func:`step_sessions_lockstep` runs it with a same-phase group and
+leaves the cache alone.
 """
 
 from __future__ import annotations
@@ -231,12 +238,14 @@ def _rng_from_state(state: dict) -> np.random.Generator:
 class _StepDriver:
     """One session's Algorithm 1 state machine for a single timestamp.
 
-    Factors the calibrate-sample-check-release loop out of
-    :meth:`ReleaseSession.step` so the solo path and the lockstep batch
-    path (:func:`step_sessions_lockstep`) run the *same* transitions in
-    the same order -- same RNG consumption, same schedule calls, same
-    fallbacks -- which is what makes batched stepping bit-identical to
-    per-session stepping.
+    :func:`_calibrate`, the one calibration loop, drives every step
+    through these transitions -- a solo step as a group of one, a
+    lockstep batch as a group of many -- so both take the same RNG
+    draws, schedule calls and fallbacks in the same order, which is what
+    makes batched stepping bit-identical to per-session stepping.
+    ``prefixes`` holds a solo step's verdict-cache key prefixes
+    (:meth:`ReleaseSession._step_key_prefixes`); a driver in a
+    multi-session group keeps None and its checks skip the cache.
     """
 
     __slots__ = (
@@ -249,6 +258,7 @@ class _StepDriver:
         "schedule",
         "candidate",
         "column",
+        "prefixes",
         "released_cell",
         "released_column",
         "conservative",
@@ -278,6 +288,7 @@ class _StepDriver:
         self.schedule = None
         self.candidate: int | None = None
         self.column: np.ndarray | None = None
+        self.prefixes: list[bytes] | None = None
         self.released_cell: int | None = None
         self.released_column: np.ndarray | None = None
         self.conservative = False
@@ -450,32 +461,17 @@ class ReleaseSession:
     def step(self, true_cell: int) -> ReleaseRecord:
         """Calibrate, check and release one location (Algorithm 1).
 
+        The calibration loop (:func:`_calibrate`) with a group of one;
+        unlike a lockstep group, a solo step consults the verdict cache.
+        A failed attempt (solver error, provider error, interrupt) rolls
+        the session back to its committed boundary, so it stays
+        steppable, checkpointable and deterministic on retry.
+
         Raises :class:`SessionError` past the horizon or after
         :meth:`finish`, :class:`QuantificationError` for a cell outside
         the map.
         """
-        driver = _StepDriver(self, true_cell)
-        t = driver.t
-        for quantifier in self._quantifiers:
-            quantifier.prepare(t)
-        try:
-            prefixes = self._step_key_prefixes()
-            driver.begin()
-            while True:
-                column = driver.next_candidate()
-                if column is None:
-                    break
-                verdict = self._check_all(t, column, prefixes)
-                if driver.apply_verdict(verdict):
-                    break
-        except BaseException:
-            # Roll back to the committed boundary (fronts and RNG) so a
-            # failed attempt (solver error, provider error, interrupt)
-            # leaves the session steppable, checkpointable, and
-            # deterministic on retry.
-            driver.rollback()
-            raise
-        return driver.commit()
+        return _calibrate([_StepDriver(self, true_cell)], keyed=True)[0]
 
     def _step_key_prefixes(self) -> list[bytes] | None:
         """Per-event verdict-cache key prefixes for the prepared step.
@@ -519,58 +515,13 @@ class ReleaseSession:
     # privacy checks (with optional verdict caching)
     # ------------------------------------------------------------------
     def _check_all(self, t, column, prefixes) -> SolverStatus:
-        """Worst verdict across all events for one candidate column.
+        """Worst verdict across all events for one candidate at the fixed prior.
 
-        Under a fixed prior every event is an O(m) ratio check, so the
-        per-event loop (with its early return on VIOLATED) is already
-        optimal.  Under the worst-case prior the per-event work is a
-        quadratic program: all events' Eq. (15)/(16) conditions are
-        assembled first and funnelled into *one* batched solver call,
-        instead of the former quantifier-by-quantifier loop.  Verdicts
-        are pure functions of the conditions, so the combined status is
-        identical either way; the only difference from the sequential
-        loop is that an early violation no longer spares the remaining
-        events' (cheaper) condition assembly.
-        """
-        if self._config.prior_mode == "fixed":
-            return self._check_all_fixed(t, column, prefixes)
-        cache = self._cache
-        column_digest = digest_array(column) if cache is not None else None
-        n_events = len(self._quantifiers)
-        statuses: list[SolverStatus | None] = [None] * n_events
-        from_cache = [False] * n_events
-        pairs: list = []
-        pair_events: list[int] = []
-        for index in range(n_events):
-            if cache is not None:
-                status = cache.lookup(prefixes[index] + column_digest)
-                if status is not None:
-                    statuses[index] = status
-                    from_cache[index] = True
-                    continue
-            status, event_conditions = self._event_conditions(index, t, column)
-            if status is not None:
-                statuses[index] = status
-            else:
-                pairs.append(event_conditions)
-                pair_events.append(index)
-        if pairs:
-            for index, status in zip(
-                pair_events, _solve_condition_pairs(pairs, self._config.solver)
-            ):
-                statuses[index] = status
-        if cache is not None:
-            for index in range(n_events):
-                if not from_cache[index]:
-                    cache.store(prefixes[index] + column_digest, statuses[index])
-        return _combine_statuses(statuses)
-
-    def _check_all_fixed(self, t, column, prefixes) -> SolverStatus:
-        """Per-event Definition II.4 ratio checks at the fixed prior.
-
-        ``prefixes=None`` skips the verdict cache -- the lockstep batch
-        path passes None since the ratio check is cheaper than the
-        digesting a cache key needs.
+        Per-event Definition II.4 ratio checks, each O(m), so the loop
+        returns at the first VIOLATED.  Every verdict round calls it for
+        each fixed-prior candidate; ``prefixes=None`` (a multi-session
+        group) skips the verdict cache, since the ratio check is cheaper
+        than the digesting a cache key needs.
         """
         worst = SolverStatus.SAFE
         cache = self._cache if prefixes is not None else None
@@ -597,9 +548,8 @@ class ReleaseSession:
 
         Returns ``(status, conditions)``: ``status`` is set when the
         O(m) sufficient certificate already decides the event, else the
-        Eq. (15)/(16) :class:`RankOneCondition` pair to solve.  Shared
-        by the solo check and the lockstep batch assembly so both build
-        bit-identical conditions.
+        Eq. (15)/(16) :class:`RankOneCondition` pair that the verdict
+        round solves.
         """
         quantifier = self._quantifiers[index]
         a = self._core.a_vectors[index]
@@ -695,7 +645,7 @@ class ReleaseSession:
 
 
 # ----------------------------------------------------------------------
-# lockstep batch stepping (SessionManager.step_many)
+# the calibration loop (ReleaseSession.step and SessionManager.step_many)
 # ----------------------------------------------------------------------
 def step_sessions_lockstep(
     sessions: list[ReleaseSession], true_cells: list[int]
@@ -703,8 +653,9 @@ def step_sessions_lockstep(
     """Step a same-phase group of sessions as one batched pipeline.
 
     All sessions must share one :class:`EngineCore` and sit at the same
-    timestamp ``t``.  The group is driven through the three batched
-    layers:
+    timestamp ``t``.  The group runs :func:`_calibrate`, the loop a solo
+    :meth:`ReleaseSession.step` runs as a group of one, through its
+    three batched layers:
 
     1. *prepare* -- every event's fronts across all sessions propagate
        through the shared lifted chain in one stacked matmul
@@ -717,16 +668,15 @@ def step_sessions_lockstep(
        (:func:`repro.core.qp.solve_conditions_batch`);
     3. *commit* -- releases fold into the fronts session by session.
 
-    The per-session transition sequence is exactly
-    :meth:`ReleaseSession.step`'s (same RNG draws, same schedule calls,
-    same fallbacks), and solver verdicts are pure functions of the
+    Each session makes the same RNG draws, schedule calls and fallbacks
+    as a solo step, and solver verdicts are pure functions of the
     assembled conditions, so the resulting records and release streams
     are bit-identical to stepping each session on its own.  Two
     deliberate differences, invisible in the stream:
 
-    * the shared verdict cache is bypassed -- bulk solving replaces
-      per-session memoization, and skipping the front digests is a
-      large part of the batched win;
+    * the group does not consult the shared verdict cache -- bulk
+      solving replaces per-session memoization, and skipping the front
+      digests is a large part of the batched win;
     * with ``time_limit_s`` set, wall-clock UNKNOWNs may fall
       differently than under solo stepping (the same caveat the verdict
       cache documents); deterministic configurations (the default, and
@@ -755,32 +705,43 @@ def step_sessions_lockstep(
                 "step_sessions_lockstep requires same-phase sessions; got "
                 f"t={session.t} and t={t}"
             )
+    return _calibrate(
+        [_StepDriver(session, cell) for session, cell in zip(sessions, true_cells)]
+    )
 
-    drivers = [
-        _StepDriver(session, cell) for session, cell in zip(sessions, true_cells)
-    ]
-    for index in range(len(core.models)):
-        prepare_many([session._quantifiers[index] for session in sessions], t)
+
+def _calibrate(drivers: list[_StepDriver], keyed: bool = False) -> list[ReleaseRecord]:
+    """Algorithm 1 for a same-phase group: the engine's one calibration loop.
+
+    Prepares every event's fronts through :func:`prepare_many`, then runs
+    rounds: each still-calibrating driver samples a candidate, in group
+    order, and one :func:`_verdict_round` checks them all; each rejected
+    driver moves on to its schedule's next budget.  ``keyed`` (a solo
+    step) gives each driver its verdict-cache key prefixes first.  Any
+    error rolls every driver back to its committed boundary; otherwise
+    all commit, in order.
+    """
+    t = drivers[0].t
+    for index in range(len(drivers[0].session._core.models)):
+        prepare_many([driver.session._quantifiers[index] for driver in drivers], t)
     try:
         for driver in drivers:
+            if keyed:
+                driver.prefixes = driver.session._step_key_prefixes()
             driver.begin()
-        active = list(drivers)
+        active = drivers
         while active:
-            # Sample this round's candidates in session order, so each
-            # session's RNG sees the same draw sequence as solo steps.
-            checking: list[_StepDriver] = []
-            remaining: list[_StepDriver] = []
-            for driver in active:
-                column = driver.next_candidate()
-                if column is not None:
-                    checking.append(driver)
-                # else: released via the max-calibrations uniform
-                # fallback; drops out of the round.
-            verdicts = _lockstep_verdicts(checking, t)
-            for driver, verdict in zip(checking, verdicts):
-                if not driver.apply_verdict(verdict):
-                    remaining.append(driver)
-            active = remaining
+            # A driver past max_calibrations releases uniform from
+            # next_candidate and drops out of the round unchecked.
+            checking = [
+                driver for driver in active if driver.next_candidate() is not None
+            ]
+            verdicts = _verdict_round(checking, t)
+            active = [
+                driver
+                for driver, verdict in zip(checking, verdicts)
+                if not driver.apply_verdict(verdict)
+            ]
     except BaseException:
         for driver in drivers:
             driver.rollback()
@@ -788,29 +749,39 @@ def step_sessions_lockstep(
     return [driver.commit() for driver in drivers]
 
 
-def _lockstep_verdicts(
-    drivers: list[_StepDriver], t: int
-) -> list[SolverStatus]:
+def _verdict_round(drivers: list[_StepDriver], t: int) -> list[SolverStatus]:
     """One calibration round's verdicts, one batched solver call.
 
-    Fixed-prior sessions resolve with the per-event ratio loop (no
-    solver involved); worst-case sessions contribute their undecided
-    events' conditions to a single :func:`solve_conditions_batch` call
-    and recombine per event, then per session -- the same worst-of
-    combination the solo check applies.
+    Fixed-prior candidates resolve with :meth:`ReleaseSession._check_all`'s
+    ratio loop (no solver involved).  Worst-case candidates contribute
+    the events that neither the verdict cache nor the O(m) certificate
+    decides to a single :func:`_solve_condition_pairs` call, and
+    recombine per event, then per candidate.  A driver with cache-key
+    prefixes (a solo step) looks each event up first and stores the
+    verdicts it computed; a driver without skips the cache.
     """
     verdicts: list[SolverStatus | None] = [None] * len(drivers)
     pairs: list = []
-    # (driver position, per-event status list, event index -> pair slot)
-    assemblies: list[tuple[int, list, list[tuple[int, int]]]] = []
+    # (position, per-event statuses, (event, pair slot)s, keys, events to store)
+    assemblies: list[tuple] = []
     for position, driver in enumerate(drivers):
         session = driver.session
         if session._config.prior_mode == "fixed":
-            verdicts[position] = session._check_all_fixed(t, driver.column, None)
+            verdicts[position] = session._check_all(t, driver.column, driver.prefixes)
             continue
+        keys = None
+        if driver.prefixes is not None:
+            column_digest = digest_array(driver.column)
+            keys = [prefix + column_digest for prefix in driver.prefixes]
         statuses: list[SolverStatus | None] = [None] * len(session._quantifiers)
         slots: list[tuple[int, int]] = []
-        for index in range(len(session._quantifiers)):
+        computed: list[int] = []
+        for index in range(len(statuses)):
+            if keys is not None:
+                statuses[index] = session._cache.lookup(keys[index])
+                if statuses[index] is not None:
+                    continue
+                computed.append(index)
             status, event_conditions = session._event_conditions(
                 index, t, driver.column
             )
@@ -819,14 +790,14 @@ def _lockstep_verdicts(
             else:
                 slots.append((index, len(pairs)))
                 pairs.append(event_conditions)
-        assemblies.append((position, statuses, slots))
+        assemblies.append((position, statuses, slots, keys, computed))
+    pair_statuses = []
     if pairs:
-        options = drivers[0].session._config.solver
-        pair_statuses = _solve_condition_pairs(pairs, options)
-    else:
-        pair_statuses = []
-    for position, statuses, slots in assemblies:
+        pair_statuses = _solve_condition_pairs(pairs, drivers[0].session._config.solver)
+    for position, statuses, slots, keys, computed in assemblies:
         for index, slot in slots:
             statuses[index] = pair_statuses[slot]
+        for index in computed:
+            drivers[position].session._cache.store(keys[index], statuses[index])
         verdicts[position] = _combine_statuses(statuses)
     return verdicts

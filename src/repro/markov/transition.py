@@ -289,3 +289,14 @@ class TimeVaryingChain:
         for t in range(1, steps):
             out[t] = out[t - 1] @ self.array_at(t)
         return out
+
+
+def as_chain(chain) -> TimeVaryingChain:
+    """``chain`` as a :class:`TimeVaryingChain`: one as is, anything else
+    (a :class:`TransitionMatrix` or an ``(m, m)`` array) as a homogeneous
+    chain."""
+    if isinstance(chain, TimeVaryingChain):
+        return chain
+    if isinstance(chain, TransitionMatrix):
+        return TimeVaryingChain.homogeneous(chain)
+    return TimeVaryingChain.homogeneous(TransitionMatrix(np.asarray(chain)))

@@ -153,22 +153,48 @@ class ServerConfig:
             )
 
 
-def _merge_cache_rows(rows: list[dict]) -> dict | None:
-    """Fleet-wide verdict-cache counters from per-shard stats rows."""
-    merged = {"hits": 0, "misses": 0, "size": 0, "evictions": 0}
-    seen = False
-    for row in rows:
-        cache = row.get("verdict_cache")
-        if cache is None:
-            continue
-        seen = True
-        for key in merged:
-            merged[key] += cache[key]
-    if not seen:
+#: Fields of a worker's ``solver`` section that name its set-up (kernel
+#: choice, native loader, front routing) rather than count its work.
+_SOLVER_IDENTITY = frozenset(
+    {
+        "kernel", "env", "native_state", "native_path", "native_error",  # kernel
+        "mode", "scipy_available",  # front
+    }
+)
+
+
+def _add_up(sections: list[dict], keep=frozenset()) -> dict | None:
+    """Sum per-worker counter sections; ``keep`` fields come from the first."""
+    if not sections:
         return None
-    total = merged["hits"] + merged["misses"]
-    merged["hit_rate"] = round(merged["hits"] / total, 6) if total else 0.0
+    merged = dict(sections[0])
+    for section in sections[1:]:
+        for key in merged:
+            if key not in keep:
+                merged[key] += section[key]
     return merged
+
+
+def _merge_shard_rows(rows: list[dict]) -> tuple[dict | None, dict | None]:
+    """The fleet's ``verdict_cache`` and ``solver`` sections from per-shard
+    stats rows: counts add up over the live workers, and the solver's
+    identity fields come from the first live worker's row."""
+    live = [row for row in rows if row.get("alive")]
+    cache = _add_up(
+        [row["verdict_cache"] for row in live if row["verdict_cache"] is not None],
+        keep={"hit_rate"},
+    )
+    if cache is not None:
+        total = cache["hits"] + cache["misses"]
+        cache["hit_rate"] = round(cache["hits"] / total, 6) if total else 0.0
+    solvers = [row["solver"] for row in live]
+    solver = None
+    if solvers:
+        solver = {
+            part: _add_up([section[part] for section in solvers], _SOLVER_IDENTITY)
+            for part in ("kernel", "front")
+        }
+    return cache, solver
 
 
 class ReleaseServer:
@@ -784,8 +810,10 @@ class ReleaseServer:
                     "evictions": cache.evictions,
                 }
             )
+            solver = {"kernel": _solver_kernel_stats(), "front": _front_stats()}
         else:
-            snapshot["verdict_cache"] = _merge_cache_rows(shard_rows)
+            # The engine runs in the workers: their counters, not ours.
+            snapshot["verdict_cache"], solver = _merge_shard_rows(shard_rows)
         snapshot["server"] = {
             "draining": self._draining.is_set(),
             "connections": self._listener.connections,
@@ -799,10 +827,7 @@ class ReleaseServer:
         }
         snapshot["batching"] = self._batcher.stats()
         snapshot["shedding"] = self._shedder.stats()
-        snapshot["solver"] = {
-            "kernel": _solver_kernel_stats(),
-            "front": _front_stats(),
-        }
+        snapshot["solver"] = solver
         snapshot["tracing"] = self._tracer.stats()
         snapshot["event_loop"] = self._loop_probe.snapshot()
         if spans > 0:

@@ -47,6 +47,9 @@ SHED_PRIORITY = {"open": 0, "step": 1}
 _RETRY_AFTER_MIN_MS = 50
 _RETRY_AFTER_MAX_MS = 10_000
 
+#: EWMA smoothing factor for observed queue waits.
+DELAY_EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class ShedConfig:
@@ -60,8 +63,6 @@ class ShedConfig:
     target_ms: float = 100.0
     #: How long the delay must stay above target before shedding starts.
     interval_ms: float = 1000.0
-    #: EWMA smoothing factor for observed queue waits.
-    alpha: float = 0.2
 
 
 class LoadShedder:
@@ -101,7 +102,8 @@ class LoadShedder:
         with self._lock:
             self._last_observe = now
             self._delay_ewma_s = (
-                (1.0 - cfg.alpha) * self._delay_ewma_s + cfg.alpha * waited_s
+                (1.0 - DELAY_EWMA_ALPHA) * self._delay_ewma_s
+                + DELAY_EWMA_ALPHA * waited_s
             )
             if cfg.target_ms <= 0:
                 self._above_since = None

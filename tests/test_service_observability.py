@@ -21,6 +21,7 @@ import urllib.error
 import urllib.request
 
 from repro.cluster import ClusterBackend
+from repro.core.two_world import front_stats
 from repro.engine import SessionManager
 from repro.service import (
     AsyncServiceClient,
@@ -280,6 +281,44 @@ class TestExpositionAndProbes:
                 ), text
             finally:
                 await server.drain()
+
+        asyncio.run(main())
+
+    def test_sharded_solver_section_counts_the_workers_work(self):
+        """On a worker backend the engine runs in the workers, so the
+        ``solver`` section must add up theirs, not the router's idle
+        counters."""
+
+        def products(front):
+            return front["sparse_matmuls"] + front["dense_matmuls"]
+
+        async def main():
+            server = sharded_server()
+            await server.start()
+            try:
+                client = await AsyncServiceClient.connect("127.0.0.1", server.port)
+                try:
+                    await client.open("alice", seed=11)
+                    await client.step("alice", 0)
+                    before = (await client.stats())["solver"]
+                    router_before = products(front_stats())
+                    for cell in range(1, 4):
+                        await client.step("alice", cell)
+                    after = (await client.stats())["solver"]
+                finally:
+                    await client.close()
+            finally:
+                await server.drain()
+            # t=2..4 each propagate a front: two products apiece
+            assert products(after["front"]) - products(before["front"]) == 6
+            assert products(front_stats()) == router_before
+            assert after["front"]["mode"] in ("auto", "always", "never")
+            assert after["kernel"]["native_state"] in (
+                "unloaded",
+                "disabled",
+                "native",
+                "unavailable",
+            )
 
         asyncio.run(main())
 
